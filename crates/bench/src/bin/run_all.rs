@@ -118,8 +118,8 @@ fn main() {
             ]),
         ));
     }
-    // Likewise the connection-scaling run: its sweep shape and A/B ratio
-    // are the reviewable outcome.
+    // Likewise the connection-scaling run: its sweep shape and TCP vs
+    // in-process ratio are the reviewable outcome.
     if let Some(s) = *exp::server_scale::LAST_SUMMARY.lock().unwrap() {
         manifest_fields.push((
             "server_scale".into(),
@@ -127,9 +127,9 @@ fn main() {
                 ("max_connections".into(), Json::U64(s.max_connections as u64)),
                 ("p99_at_max_us".into(), Json::U64(s.p99_at_max_us)),
                 ("ops_per_sec_at_max".into(), Json::F64(s.rate_at_max)),
-                ("ab_event_loop_ops_per_sec".into(), Json::F64(s.ops_per_sec_event_loop)),
-                ("ab_threaded_ops_per_sec".into(), Json::F64(s.ops_per_sec_threaded)),
-                ("ab_ratio".into(), Json::F64(s.ab_ratio)),
+                ("tcp_ops_per_sec".into(), Json::F64(s.tcp_ops_per_sec)),
+                ("in_process_ops_per_sec".into(), Json::F64(s.in_process_ops_per_sec)),
+                ("tcp_vs_in_process".into(), Json::F64(s.tcp_ratio)),
             ]),
         ));
     }

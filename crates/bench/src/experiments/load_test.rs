@@ -2,7 +2,7 @@
 //!
 //! The paper measures its codes statically; this experiment measures them
 //! *serving*. It boots an in-process `tornado-server` on a loopback
-//! ephemeral port, drives it with the seeded closed-loop load generator
+//! ephemeral port, drives it with the seeded closed-loop load driver
 //! (weighted put/get/delete, zipfian popularity), fails four devices
 //! mid-run — the certified tolerance of catalog graph 1 — and reports
 //! throughput, latency percentiles, and how many reads the Tornado decoder

@@ -1,20 +1,22 @@
-//! Connection-count scaling of the event-loop server.
+//! Connection-count scaling of the server, and what serving over TCP costs.
 //!
-//! Two questions, one harness:
+//! Two questions, one load driver ([`tornado_server::run_load`]):
 //!
 //! 1. **How far do connections scale?** An open-loop GET stream at a
-//!    fixed aggregate rate is multiplexed over `N` concurrent
-//!    connections from a single driver thread ([`tornado_server::load::mux`]),
-//!    with `N` swept from 64 to 10,000+. The offered load stays
-//!    constant, so the p99-vs-connections curve isolates what holding
-//!    (and serving) more sockets costs the server, not what more demand
-//!    costs it. Latency is measured from each operation's *scheduled*
-//!    arrival — a server that buckles under connection count shows up as
-//!    p99 inflation, never as silently reduced throughput.
-//! 2. **Does the event loop give anything up at low counts?** A
-//!    closed-loop A/B at 64 connections, event-loop vs the legacy
-//!    thread-per-connection path, same seed and mix, fresh in-process
-//!    server per arm.
+//!    fixed aggregate rate is spread over `N` concurrent connections from
+//!    the driver's single reactor thread, with `N` swept from 64 to
+//!    10,000+. The offered load stays constant, so the p99-vs-connections
+//!    curve isolates what holding (and serving) more sockets costs the
+//!    server, not what more demand costs it. Latency is measured from each
+//!    operation's *scheduled* arrival — a server that buckles under
+//!    connection count shows up as p99 inflation, never as silently
+//!    reduced throughput. Every GET is verified byte for byte.
+//! 2. **What does the TCP serving path cost?** The same closed-loop mix at
+//!    64 connections, once over TCP into a fresh in-process server and
+//!    once driven straight into an [`ArchivalStore`] by 64 threads. Both
+//!    arms draw their operations from the driver's [`OpPicker`], so there
+//!    is one mix implementation; the ratio of their ops/s is the share of
+//!    store throughput the protocol, event loop, queue and client keep.
 //!
 //! The process `RLIMIT_NOFILE` hard cap (20k in CI containers) cannot
 //! hold two sockets per connection at the 10k point, so the sweep's
@@ -30,11 +32,16 @@ use std::fmt::Write as _;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tornado_server::load::mux::{run_mux, MuxConfig, MuxReport};
+use tornado_obs::Histogram;
+use tornado_server::load::{conn_rng, payload_for, payload_matches};
 use tornado_server::{
-    run_load, serve, Client, HealthConfig, LoadConfig, OpMix, ServerConfig, ServerObserver,
+    run_load, serve, Client, HealthConfig, LoadConfig, MixOp, OpMix, OpPicker, ServerConfig,
+    ServerObserver,
 };
 use tornado_store::ArchivalStore;
+
+/// Connections (TCP) and threads (in process) at the overhead point.
+pub const OVERHEAD_CONNECTIONS: usize = 64;
 
 /// One sweep point: `connections` held concurrently under a fixed
 /// offered load.
@@ -54,7 +61,7 @@ pub struct SweepPoint {
     pub p50_us: u64,
     /// 99th-percentile latency from scheduled arrival, µs.
     pub p99_us: u64,
-    /// BUSY answers (not retried; open loop sheds at the server).
+    /// BUSY answers (each resubmitted; latency keeps running).
     pub busy: u64,
     /// Arrivals shed at the driver (every connection at its cap).
     pub shed: u64,
@@ -62,20 +69,20 @@ pub struct SweepPoint {
     pub errors: u64,
     /// Requests still unanswered at the drain deadline.
     pub unanswered: u64,
-    /// Verified GETs with wrong bytes (must be 0).
+    /// GETs with wrong bytes (must be 0).
     pub payload_mismatches: u64,
 }
 
-/// One closed-loop A/B arm at fixed connection count.
+/// One closed-loop arm of the overhead comparison.
 #[derive(Clone, Copy, Debug)]
-pub struct AbPoint {
+pub struct ArmPoint {
     /// Completed operations.
     pub ops: u64,
     /// Completed ops/s.
     pub ops_per_sec: f64,
-    /// Median client latency, µs.
+    /// Median latency, µs.
     pub p50_us: u64,
-    /// 99th-percentile client latency, µs.
+    /// 99th-percentile latency, µs.
     pub p99_us: u64,
 }
 
@@ -88,12 +95,10 @@ pub struct ScaleResult {
     pub sweep_server: &'static str,
     /// Sweep points, ascending connection count.
     pub sweep: Vec<SweepPoint>,
-    /// Connections at the A/B point.
-    pub ab_connections: usize,
-    /// Thread-per-connection arm.
-    pub ab_threaded: AbPoint,
-    /// Event-loop arm.
-    pub ab_event_loop: AbPoint,
+    /// Closed-loop mix over TCP at [`OVERHEAD_CONNECTIONS`].
+    pub tcp: ArmPoint,
+    /// The same mix into the store by [`OVERHEAD_CONNECTIONS`] threads.
+    pub in_process: ArmPoint,
 }
 
 impl ScaleResult {
@@ -102,10 +107,10 @@ impl ScaleResult {
         self.sweep.iter().map(|p| p.connected).max().unwrap_or(0)
     }
 
-    /// Event-loop ops/s at the A/B point relative to threaded.
-    pub fn ab_ratio(&self) -> f64 {
-        if self.ab_threaded.ops_per_sec > 0.0 {
-            self.ab_event_loop.ops_per_sec / self.ab_threaded.ops_per_sec
+    /// TCP ops/s as a fraction of in-process ops/s.
+    pub fn tcp_ratio(&self) -> f64 {
+        if self.in_process.ops_per_sec > 0.0 {
+            self.tcp.ops_per_sec / self.in_process.ops_per_sec
         } else {
             0.0
         }
@@ -121,12 +126,12 @@ pub struct ScaleSummary {
     pub p99_at_max_us: u64,
     /// Achieved ops/s at that count.
     pub rate_at_max: f64,
-    /// Event-loop closed-loop ops/s at the A/B point.
-    pub ops_per_sec_event_loop: f64,
-    /// Thread-per-connection closed-loop ops/s at the A/B point.
-    pub ops_per_sec_threaded: f64,
-    /// Event-loop / threaded ratio.
-    pub ab_ratio: f64,
+    /// Closed-loop ops/s over TCP at the overhead point.
+    pub tcp_ops_per_sec: f64,
+    /// Closed-loop ops/s in process at the overhead point.
+    pub in_process_ops_per_sec: f64,
+    /// TCP / in-process ratio.
+    pub tcp_ratio: f64,
 }
 
 /// Last run's summary (populated by [`run`], read by `run_all`).
@@ -143,13 +148,8 @@ enum SweepServer {
 /// socket (stdio, listener, epoll/waker fds, admin + prefill conns).
 const FD_SLACK: u64 = 512;
 
-/// Boots the sweep server with `shards` event-loop shards, preferring
-/// the sibling `tornado` binary so driver and server each get a full
-/// descriptor budget. Returns the server, its address, and which mode.
-fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
-    if let Some((child, addr)) = spawn_external(shards) {
-        return (SweepServer::External(child), addr, "external-process");
-    }
+/// The in-process server both the sweep fallback and the TCP arm use.
+fn start_in_process(shards: usize) -> tornado_server::ServerHandle {
     let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -159,8 +159,17 @@ fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
         health: HealthConfig { enabled: false, ..HealthConfig::default() },
         ..ServerConfig::default()
     };
-    let handle =
-        serve(cfg, store, Arc::new(ServerObserver::disabled())).expect("bind loopback server");
+    serve(cfg, store, Arc::new(ServerObserver::disabled())).expect("bind loopback server")
+}
+
+/// Boots the sweep server with `shards` event-loop shards, preferring
+/// the sibling `tornado` binary so driver and server each get a full
+/// descriptor budget. Returns the server, its address, and which mode.
+fn boot_sweep_server(shards: usize) -> (SweepServer, String, &'static str) {
+    if let Some((child, addr)) = spawn_external(shards) {
+        return (SweepServer::External(child), addr, "external-process");
+    }
+    let handle = start_in_process(shards);
     let addr = handle.local_addr().to_string();
     (SweepServer::InProcess(handle), addr, "in-process")
 }
@@ -241,40 +250,33 @@ fn stop_sweep_server(server: SweepServer, addr: &str) {
     }
 }
 
-/// Runs one closed-loop A/B arm against a fresh in-process server.
-fn run_ab_arm(event_loop: bool, shards: usize, connections: usize, duration_ms: u64, seed: u64) -> AbPoint {
-    let store = Arc::new(ArchivalStore::new(tornado_core::tornado_graph_1()));
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 4,
-        queue_depth: 256,
-        event_loop,
-        shards,
-        health: HealthConfig { enabled: false, ..HealthConfig::default() },
-        ..ServerConfig::default()
-    };
-    let handle =
-        serve(cfg, store, Arc::new(ServerObserver::disabled())).expect("bind loopback server");
-    let addr = handle.local_addr().to_string();
-    let report = run_load(&LoadConfig {
-        addr: addr.clone(),
-        connections,
+/// The closed-loop mix both overhead arms run.
+fn overhead_cfg(duration_ms: u64, seed: u64) -> LoadConfig {
+    LoadConfig {
+        connections: OVERHEAD_CONNECTIONS,
         duration_ms,
         seed,
         mix: OpMix { put: 10, get: 88, delete: 2 },
         payload_min: 1 << 10,
         payload_max: 8 << 10,
-        prefill: 4,
+        prefill: 256,
         trace_sample: 0,
         ..LoadConfig::default()
-    })
-    .expect("closed-loop A/B arm");
+    }
+}
+
+/// Closed loop over TCP against a fresh in-process server.
+fn run_tcp_arm(shards: usize, cfg: &LoadConfig) -> ArmPoint {
+    let handle = start_in_process(shards);
+    let addr = handle.local_addr().to_string();
+    let report = run_load(&LoadConfig { addr: addr.clone(), ..cfg.clone() }).expect("TCP arm");
     if let Ok(mut admin) = Client::connect(&addr) {
         let _ = admin.shutdown();
     }
     handle.join();
-    assert_eq!(report.payload_mismatches, 0, "A/B arm must verify byte-for-byte");
-    AbPoint {
+    assert_eq!(report.payload_mismatches, 0, "TCP arm must verify byte-for-byte");
+    assert_eq!(report.errors, 0, "TCP arm hit {} errors", report.errors);
+    ArmPoint {
         ops: report.ops,
         ops_per_sec: report.ops_per_sec,
         p50_us: report.p50_us(),
@@ -282,7 +284,75 @@ fn run_ab_arm(event_loop: bool, shards: usize, connections: usize, duration_ms: 
     }
 }
 
-/// Runs the sweep and A/B, returning the structured result.
+/// The same mix driven straight into a fresh store by one thread per
+/// connection, each drawing from the shared picker exactly as the
+/// driver's connections do (the prefill too).
+fn run_in_process_arm(cfg: &LoadConfig) -> ArmPoint {
+    let store = ArchivalStore::new(tornado_core::tornado_graph_1());
+    let picker = Mutex::new(OpPicker::new(cfg));
+    let mut rng = conn_rng(cfg.seed, cfg.connections as u64);
+    for _ in 0..cfg.prefill {
+        let op = picker.lock().unwrap().pick_put(&mut rng);
+        let MixOp::Put { name, obj_seed, len } = &op else { unreachable!("pick_put puts") };
+        let id = store.put(name, &payload_for(*obj_seed, *len)).expect("prefill put");
+        picker.lock().unwrap().finish(&op, Some(id));
+    }
+    let start = Instant::now();
+    let stop_at = start + Duration::from_millis(cfg.duration_ms);
+    let (latency, mismatches) = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..cfg.connections)
+            .map(|t| {
+                let (store, picker) = (&store, &picker);
+                s.spawn(move || {
+                    let mut rng = conn_rng(cfg.seed, t as u64);
+                    let latency = Histogram::new();
+                    let mut mismatches = 0u64;
+                    while Instant::now() < stop_at {
+                        let op = picker.lock().unwrap().pick(&mut rng);
+                        let t0 = Instant::now();
+                        let put_id = match &op {
+                            MixOp::Put { name, obj_seed, len } => {
+                                Some(store.put(name, &payload_for(*obj_seed, *len)).expect("put"))
+                            }
+                            MixOp::Get { id, obj_seed, len } => {
+                                let got = store.get(*id).expect("get");
+                                mismatches += u64::from(!payload_matches(*obj_seed, *len, &got));
+                                None
+                            }
+                            MixOp::Delete { id } => {
+                                store.delete(*id).expect("delete");
+                                None
+                            }
+                        };
+                        latency.record(t0.elapsed().as_micros() as u64);
+                        picker.lock().unwrap().finish(&op, put_id);
+                    }
+                    (latency, mismatches)
+                })
+            })
+            .collect();
+        let latency = Histogram::new();
+        let mut mismatches = 0;
+        for t in threads {
+            let (h, m) = t.join().expect("in-process arm thread");
+            latency.merge(&h);
+            mismatches += m;
+        }
+        (latency, mismatches)
+    });
+    let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
+    assert_eq!(mismatches, 0, "in-process arm must verify byte-for-byte");
+    let ops = latency.count();
+    ArmPoint {
+        ops,
+        ops_per_sec: ops as f64 * 1000.0 / elapsed_ms as f64,
+        p50_us: latency.percentile(0.5).unwrap_or(0),
+        p99_us: latency.percentile(0.99).unwrap_or(0),
+    }
+}
+
+/// Runs the sweep and the overhead comparison, returning the structured
+/// result.
 ///
 /// `quick` caps the sweep at ~1k connections with shorter windows — the
 /// CI smoke; the full run reaches 10,000.
@@ -309,28 +379,31 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
     let mut sweep = Vec::new();
     for (i, &want) in counts.iter().enumerate() {
         let connections = want.min(conn_cap);
-        let report: MuxReport = run_mux(&MuxConfig {
+        let report = run_load(&LoadConfig {
             addr: addr.clone(),
             connections,
             duration_ms,
-            rate_ops_per_sec: rate,
             seed: seed ^ (i as u64 + 1),
+            mix: OpMix { put: 0, get: 1, delete: 0 },
+            payload_min: 4 << 10,
+            payload_max: 4 << 10,
+            zipf_theta: 0.0,
             prefill: 16,
-            payload_len: 4 << 10,
-            max_inflight_per_conn: 32,
-            verify_sample: 64,
-            ..MuxConfig::default()
+            trace_sample: 0,
+            pipeline_depth: 32,
+            rate_ops_per_sec: rate,
+            ..LoadConfig::default()
         })
         .expect("open-loop sweep point");
         sweep.push(SweepPoint {
             connections,
             connected: report.connected,
-            target_rate: report.target_rate,
-            achieved_rate: report.achieved_rate,
+            target_rate: rate,
+            achieved_rate: report.ops_per_sec,
             ops: report.ops,
             p50_us: report.p50_us(),
             p99_us: report.p99_us(),
-            busy: report.busy,
+            busy: report.busy_retries,
             shed: report.shed,
             errors: report.errors,
             unanswered: report.unanswered,
@@ -339,20 +412,11 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
     }
     stop_sweep_server(server, &addr);
 
-    // Closed-loop A/B at low connection count, in-process both arms.
-    let ab_connections = 64;
-    let ab_ms = if quick { 800 } else { 1_500 };
-    let ab_threaded = run_ab_arm(false, shards, ab_connections, ab_ms, seed);
-    let ab_event_loop = run_ab_arm(true, shards, ab_connections, ab_ms, seed);
+    let cfg = overhead_cfg(if quick { 800 } else { 1_500 }, seed);
+    let tcp = run_tcp_arm(shards, &cfg);
+    let in_process = run_in_process_arm(&cfg);
 
-    let result = ScaleResult {
-        shards,
-        sweep_server,
-        sweep,
-        ab_connections,
-        ab_threaded,
-        ab_event_loop,
-    };
+    let result = ScaleResult { shards, sweep_server, sweep, tcp, in_process };
     let at_max = result
         .sweep
         .iter()
@@ -363,9 +427,9 @@ pub fn measure(quick: bool, seed: u64) -> ScaleResult {
         max_connections: result.max_connections(),
         p99_at_max_us: at_max.p99_us,
         rate_at_max: at_max.achieved_rate,
-        ops_per_sec_event_loop: result.ab_event_loop.ops_per_sec,
-        ops_per_sec_threaded: result.ab_threaded.ops_per_sec,
-        ab_ratio: result.ab_ratio(),
+        tcp_ops_per_sec: result.tcp.ops_per_sec,
+        in_process_ops_per_sec: result.in_process.ops_per_sec,
+        tcp_ratio: result.tcp_ratio(),
     });
     result
 }
@@ -379,7 +443,7 @@ pub fn run(effort: &Effort) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# Event-loop connection scaling — open-loop sweep ({} server, {} shards) + 64-conn A/B",
+        "# Connection scaling — open-loop sweep ({} server, {} shards) + {OVERHEAD_CONNECTIONS}-conn TCP vs in-process",
         r.sweep_server, r.shards
     );
     let _ = writeln!(out, "connections, achieved_ops_s, p50_us, p99_us, busy, errors");
@@ -390,17 +454,9 @@ pub fn run(effort: &Effort) -> String {
             p.connected, p.achieved_rate, p.p50_us, p.p99_us, p.busy, p.errors
         );
     }
-    let _ = writeln!(
-        out,
-        "ab_64conn_threaded_ops_s, {:.0}",
-        r.ab_threaded.ops_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "ab_64conn_event_loop_ops_s, {:.0}",
-        r.ab_event_loop.ops_per_sec
-    );
-    let _ = writeln!(out, "ab_event_loop_vs_threaded, {:.2}", r.ab_ratio());
+    let _ = writeln!(out, "tcp_64conn_ops_s, {:.0}", r.tcp.ops_per_sec);
+    let _ = writeln!(out, "in_process_64thread_ops_s, {:.0}", r.in_process.ops_per_sec);
+    let _ = writeln!(out, "tcp_vs_in_process, {:.2}", r.tcp_ratio());
     for p in &r.sweep {
         assert_eq!(p.payload_mismatches, 0, "sweep GETs must verify byte-for-byte");
     }

@@ -566,7 +566,6 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     let timeseries_interval_ms: u64 = args.get_parsed("timeseries-ms", 500)?;
     let shards: usize = args.get_parsed("shards", 2)?;
     let max_inflight: usize = args.get_parsed("max-inflight", 64)?;
-    let event_loop = !args.flag("thread-per-conn");
     let health = health_config_from_args(args)?;
     let (graph, label) = if args.get("graph").is_some() || args.get("catalog").is_some() {
         load_target_graph(args)?
@@ -646,12 +645,8 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
         workers,
         queue_depth,
         default_deadline_ms,
-        trace_sample,
-        trace_capacity,
-        trace_slow_keep,
         slow_request_us: slow_ms.saturating_mul(1_000),
         timeseries_interval_ms,
-        event_loop,
         shards,
         max_inflight_per_conn: max_inflight,
         health,
@@ -668,11 +663,7 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
             ("backend", Json::Str(store.backend_kind().to_string())),
             ("workers", Json::U64(workers as u64)),
             ("queue_depth", Json::U64(queue_depth as u64)),
-            (
-                "mode",
-                Json::Str(if event_loop { "event_loop".into() } else { "threads".into() }),
-            ),
-            ("shards", Json::U64(if event_loop { shards as u64 } else { 0 })),
+            ("shards", Json::U64(shards as u64)),
         ],
     );
 
@@ -685,24 +676,19 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
         std::fs::rename(&tmp, port_file).map_err(|e| format!("{port_file}: {e}"))?;
     }
 
-    // Serve until a SHUTDOWN op drains the server — or, on unix, until
-    // SIGTERM: the reactor latches the signal into a flag (the handler
-    // itself only stores an atomic), and this supervising loop turns it
-    // into the same graceful drain the wire op triggers.
+    // Serve until a SHUTDOWN op drains the server — or until SIGTERM: the
+    // reactor latches the signal into a flag (the handler itself only
+    // stores an atomic), and this supervising loop turns it into the same
+    // graceful drain the wire op triggers.
     let started = std::time::Instant::now();
-    #[cfg(unix)]
-    {
-        let sigterm = tornado_server::reactor::install_sigterm_flag();
-        while !handle.is_shutting_down()
-            && !sigterm.load(std::sync::atomic::Ordering::SeqCst)
-        {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        if sigterm.load(std::sync::atomic::Ordering::SeqCst) {
-            obs.status("serve_sigterm", &[]);
-        }
-        handle.shutdown();
+    let sigterm = tornado_server::reactor::install_sigterm_flag();
+    while !handle.is_shutting_down() && !sigterm.load(std::sync::atomic::Ordering::SeqCst) {
+        std::thread::sleep(std::time::Duration::from_millis(50));
     }
+    if sigterm.load(std::sync::atomic::Ordering::SeqCst) {
+        obs.status("serve_sigterm", &[]);
+    }
+    handle.shutdown();
     handle.join();
     // After the drain every in-flight root span is recorded, so the
     // export written here is complete and well-nested by construction.
@@ -763,16 +749,16 @@ pub fn load(args: &ParsedArgs) -> CmdResult {
     };
 
     let report = tornado_server::run_load(&cfg).map_err(|e| format!("load: {e}"))?;
-    if cfg.pipeline_depth > 1 || cfg.rate_ops_per_sec > 0.0 {
-        let loop_kind =
-            if cfg.rate_ops_per_sec > 0.0 { "open loop".to_string() } else { "closed loop".into() };
-        let rate = if cfg.rate_ops_per_sec > 0.0 {
-            format!(", target rate {:.0}/s", cfg.rate_ops_per_sec)
-        } else {
-            String::new()
-        };
-        println!("discipline: {loop_kind}, pipeline depth {}{rate}", cfg.pipeline_depth.max(1));
-    }
+    let schedule = if cfg.rate_ops_per_sec > 0.0 {
+        format!("open loop at {:.0} ops/s", cfg.rate_ops_per_sec)
+    } else {
+        "closed loop".to_string()
+    };
+    println!(
+        "driver: {} connections, pipeline depth {}, {schedule}",
+        report.connected,
+        cfg.pipeline_depth.max(1)
+    );
     println!(
         "ops: {} in {} ms ({:.0} ops/s)",
         report.ops, report.elapsed_ms, report.ops_per_sec
@@ -799,8 +785,8 @@ pub fn load(args: &ParsedArgs) -> CmdResult {
         }
     }
     println!(
-        "backpressure: {} busy retries; errors: {}; unrecoverable: {}",
-        report.busy_retries, report.errors, report.unrecoverable
+        "backpressure: {} busy retries, {} shed; errors: {}; unanswered: {}; unrecoverable: {}",
+        report.busy_retries, report.shed, report.errors, report.unanswered, report.unrecoverable
     );
     println!(
         "payload mismatches: {} (must be 0)",

@@ -48,8 +48,6 @@ COMMANDS:
     serve        TCP archival block service          [--addr 127.0.0.1:7401] [--workers 4]
                                                      [--queue-depth 64] [--deadline-ms 0]
                                                      [--shards 2] [--max-inflight 64]
-                                                     [--thread-per-conn] (legacy
-                                                     thread-per-connection serving)
                                                      [--catalog 1|2|3 | --graph FILE]
                                                      [--data-dir DIR [--backend file|segment]
                                                      [--no-fsync]] (durable store with
@@ -68,7 +66,7 @@ COMMANDS:
     put          Store one object on a server        --addr ADDR --name NAME
                                                      --payload-file FILE (prints the id)
     get          Fetch one object from a server      --addr ADDR --id N [--out FILE]
-    load         Closed-loop load generator          --addr ADDR [--connections 4]
+    load         Load driver (one reactor thread)    --addr ADDR [--connections 4]
                                                      [--duration-ms 2000] [--seed N]
                                                      [--put 20 --get 75 --delete 5]
                                                      [--payload-min N --payload-max N]
@@ -76,11 +74,12 @@ COMMANDS:
                                                      [--fail DEV]... [--fail-after-ms 300]
                                                      [--metrics FILE] [--shutdown]
                                                      [--trace-sample 256] [--op-limit N]
-                                                     [--pipeline N] (N requests in flight
-                                                     per connection, matched by corr id)
-                                                     [--rate OPS_PER_SEC] (open-loop mode:
-                                                     fixed arrival rate, queue-wait counted
-                                                     in latency)
+                                                     [--deadline-ms 0]
+                                                     [--pipeline 1] (requests in flight per
+                                                     connection; 1 = closed loop)
+                                                     [--rate OPS_PER_SEC] (open loop: fixed
+                                                     aggregate arrival rate, latency from
+                                                     the scheduled arrival)
     watch        Live windowed rates from a server    --addr ADDR [--interval-ms 1000]
                                                      [--count N]
     health       Durability observatory snapshot      --addr ADDR [--json | --prometheus]

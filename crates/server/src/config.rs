@@ -56,7 +56,9 @@ impl Default for HealthConfig {
     }
 }
 
-/// Tunables for one [`crate::server::serve`] instance.
+/// Tunables for one [`crate::server::serve`] instance. Tracing and event
+/// output are set on the observer instead
+/// ([`crate::obs::ServerObserver::with_tracer`]).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7401`; port 0 picks an ephemeral
@@ -70,20 +72,10 @@ pub struct ServerConfig {
     /// Server-side deadline applied when a request carries none
     /// (milliseconds; 0 disables).
     pub default_deadline_ms: u32,
-    /// Per-connection read poll interval in milliseconds — how often an
-    /// idle connection checks the shutdown flag. Also bounds how long
-    /// shutdown waits on idle connections.
+    /// Poll interval in milliseconds — how often an idle shard and the
+    /// acceptor check the shutdown flag. Also bounds how long shutdown
+    /// waits on idle connections.
     pub poll_interval_ms: u64,
-    /// Trace sampling rate: record spans for 1 in N traces (keyed
-    /// deterministically on the trace id). 0 disables tracing, 1 samples
-    /// every request.
-    pub trace_sample: u64,
-    /// Maximum spans retained in the trace ring buffer (oldest dropped
-    /// past this; the slowest root spans survive separately).
-    pub trace_capacity: usize,
-    /// How many of the slowest root spans to keep regardless of ring
-    /// eviction.
-    pub trace_slow_keep: usize,
     /// Emit a `server.slow_request` event (with the full span tree when
     /// the request was sampled) for any request slower than this many
     /// microseconds; 0 disables.
@@ -91,10 +83,6 @@ pub struct ServerConfig {
     /// Interval between time-series counter samples in milliseconds;
     /// 0 disables the sampler thread.
     pub timeseries_interval_ms: u64,
-    /// Serve connections through the nonblocking event loop (epoll/poll
-    /// readiness shards) instead of one thread per connection. Ignored on
-    /// non-unix targets, which always use the threaded path.
-    pub event_loop: bool,
     /// Event-loop shards (each one thread owning a slab of connections).
     pub shards: usize,
     /// Per-connection cap on pipelined (correlated) requests in flight;
@@ -114,12 +102,8 @@ impl Default for ServerConfig {
             queue_depth: 64,
             default_deadline_ms: 0,
             poll_interval_ms: 50,
-            trace_sample: 0,
-            trace_capacity: 4096,
-            trace_slow_keep: 16,
             slow_request_us: 0,
             timeseries_interval_ms: 500,
-            event_loop: true,
             shards: 2,
             max_inflight_per_conn: 64,
             health: HealthConfig::default(),
@@ -138,10 +122,7 @@ mod tests {
         assert!(c.queue_depth >= 1);
         assert!(c.poll_interval_ms >= 1);
         assert_eq!(c.default_deadline_ms, 0);
-        assert_eq!(c.trace_sample, 0, "tracing is opt-in");
-        assert!(c.trace_capacity >= 1);
         assert!(c.timeseries_interval_ms >= 1);
-        assert!(c.event_loop, "the event loop is the default serving path");
         assert!(c.shards >= 1);
         assert!(c.max_inflight_per_conn >= 1);
         let h = &c.health;

@@ -1,9 +1,9 @@
 //! Request execution: the worker pool behind the bounded queue.
 //!
-//! Connection handlers decode frames and [`Engine::submit`] jobs; a fixed
+//! Event-loop shards decode frames and [`Engine::submit`] jobs; a fixed
 //! pool of workers pops them, enforces per-request deadlines, executes
 //! against the shared [`ArchivalStore`], and sends the [`Response`] back
-//! through the job's reply channel. The queue is the only buffer between
+//! to the shard through the job's [`Reply`]. The queue is the only buffer between
 //! accept and execute, so a full queue is an immediate BUSY — the system
 //! sheds load instead of hiding it in growing latency.
 
@@ -11,7 +11,6 @@ use crate::obs::ServerObserver;
 use crate::protocol::{Op, Request, Response, StatMeta};
 use crate::queue::{BoundedQueue, PushError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -19,30 +18,25 @@ use tornado_obs::trace::{to_chrome_trace, SpanRecord, Tracer};
 use tornado_obs::Json;
 use tornado_store::{ArchivalStore, StoreError};
 
-/// Trace context for one sampled request, created by the connection
-/// handler and carried through the queue so worker-side spans attach to
-/// the same tree.
+/// Trace context for one sampled request, created by the shard and
+/// carried through the queue so worker-side spans attach to the same tree.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct JobTrace {
     /// The request's trace id.
     pub trace_id: u64,
     /// Span id reserved for the root `request` span (recorded by the
-    /// handler after the reply; children reference it immediately).
+    /// shard after the reply; children reference it immediately).
     pub root_span: u64,
     /// Tracer-timebase instant the job was submitted (start of the
     /// queue-wait window).
     pub accepted_us: u64,
 }
 
-/// Where a finished response goes: back to a blocking connection-handler
-/// thread (thread-per-connection path) or into an event-loop shard's
-/// completion mailbox (matched to its connection by slot/generation, and
-/// to its request by correlation id).
+/// Where a finished response goes: into an event-loop shard's completion
+/// mailbox, matched to its connection by slot/generation and to its
+/// request by correlation id.
 pub(crate) enum Reply {
-    /// A blocking handler waiting on an mpsc channel.
-    Channel(mpsc::Sender<Response>),
     /// An event-loop shard: push into its mailbox and kick its waker.
-    #[cfg(unix)]
     Shard {
         /// The owning shard's completion mailbox.
         mailbox: Arc<crate::shard::ShardMailbox>,
@@ -55,6 +49,9 @@ pub(crate) enum Reply {
         /// clients — the shard holds frame extraction until it answers).
         corr: Option<u32>,
     },
+    /// A test waiting on an mpsc channel, with no shard in the way.
+    #[cfg(test)]
+    Channel(std::sync::mpsc::Sender<Response>),
 }
 
 impl Reply {
@@ -62,12 +59,12 @@ impl Reply {
     /// an error; the work itself already happened.
     pub fn send(self, response: Response) {
         match self {
-            Reply::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            #[cfg(unix)]
             Reply::Shard { mailbox, slot, gen, corr } => {
                 mailbox.complete(slot, gen, corr, response);
+            }
+            #[cfg(test)]
+            Reply::Channel(tx) => {
+                let _ = tx.send(response);
             }
         }
     }
@@ -111,7 +108,7 @@ impl Engine {
                 let obs = Arc::clone(&obs);
                 thread::Builder::new()
                     .name(format!("tornado-worker-{worker}"))
-                    .spawn(move || worker_loop(&queue, &store, &obs, started))
+                    .spawn(move || run_worker(&queue, &store, &obs, started))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -149,7 +146,7 @@ impl Engine {
     }
 }
 
-fn worker_loop(
+fn run_worker(
     queue: &BoundedQueue<Job>,
     store: &ArchivalStore,
     obs: &ServerObserver,
@@ -519,6 +516,7 @@ fn error_response(e: StoreError, obs: &ServerObserver) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
     use tornado_core::tornado_graph_1;
     use tornado_obs::trace::validate_chrome_trace;
 
@@ -653,7 +651,7 @@ mod tests {
             store.fail_device(device).unwrap();
         }
 
-        // Submit a traced GET exactly as the connection handler would:
+        // Submit a traced GET exactly as a shard would:
         // reserve the root span id up front, record the root after reply.
         let trace_id = 0xABCDu64;
         let root_span = obs.tracer.next_span_id();

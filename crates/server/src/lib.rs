@@ -17,13 +17,16 @@
 //!   per-request deadlines, and serving GETs through the store's guided
 //!   retrieval path (checksum failures and offline devices degrade into
 //!   erasures that the Tornado decoder reconstructs transparently);
-//! * [`server`] — the TCP accept loop, per-connection framing, and
-//!   graceful shutdown that drains in-flight requests before exiting;
-//! * [`client`] — a small blocking client library for the protocol;
-//! * [`load`] — a closed-loop multi-connection load generator with a
-//!   seeded operation mix (weighted put/get/delete, zipfian object
-//!   popularity) and mid-run device-failure injection, verifying every
-//!   GET byte-for-byte;
+//! * [`server`] — the acceptor, the [`shard`] event loops that frame and
+//!   pipeline every connection over the [`reactor`], and graceful
+//!   shutdown that drains in-flight requests before exiting;
+//! * [`client`] — the blocking client: submit/receive by correlation id,
+//!   with typed one-request-at-a-time wrappers;
+//! * [`load`] — the single-thread reactor load driver: any number of
+//!   connections, a per-connection pipeline depth, an optional open-loop
+//!   arrival schedule, a seeded operation mix (weighted put/get/delete,
+//!   zipfian object popularity) and mid-run device-failure injection,
+//!   verifying every GET byte-for-byte;
 //! * [`obs`] — `tornado-obs` counters, latency histograms, JSON-lines
 //!   events, sampled request-scoped trace spans (exported as Chrome
 //!   trace-event JSON), and a time-series ring of periodic counter
@@ -35,7 +38,8 @@
 
 // `deny` rather than `forbid`: the readiness reactor is the one sanctioned
 // exception (raw epoll/poll FFI behind `#[allow(unsafe_code)]` with
-// documented invariants); everything else stays safe Rust.
+// documented invariants); everything else stays safe Rust. Serving needs a
+// unix target: epoll on Linux, poll(2) elsewhere.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -48,17 +52,15 @@ pub mod load;
 pub mod obs;
 pub mod protocol;
 pub mod queue;
-#[cfg(unix)]
 pub mod reactor;
 pub mod server;
-#[cfg(unix)]
 pub mod shard;
 
-pub use client::{Client, PipelinedClient};
+pub use client::Client;
 pub use config::{HealthConfig, ServerConfig};
 pub use error::ClientError;
 pub use health::{validate_health, HealthModel, HEALTH_SCHEMA};
-pub use load::{run_load, LoadConfig, LoadReport, OpMix, TraceExemplar};
+pub use load::{run_load, LoadConfig, LoadReport, MixOp, OpMix, OpPicker, TraceExemplar};
 pub use obs::ServerObserver;
 pub use protocol::{Op, Request, Response, StatMeta};
 pub use queue::BoundedQueue;

@@ -1,47 +1,52 @@
-//! Load generators for the archival block service.
+//! The load driver for the archival block service.
 //!
-//! [`run_load`] opens `connections` client connections, each driven by its
-//! own worker thread: pick the next operation from the seeded weighted
-//! mix, run it, record the latency, repeat until the clock runs out.
-//! Object popularity is zipfian — earlier objects are hotter — so GETs
-//! concentrate on a warm set the way archival read traffic does. Three
-//! orthogonal knobs change the discipline:
+//! [`run_load`] drives `connections` client connections from one thread
+//! over the same readiness reactor the server uses — nonblocking sockets,
+//! per-connection frame reassembly, correlation-id matching — so thousands
+//! of connections cost the driver sockets, not threads. Two parameters set
+//! the discipline:
 //!
-//! * `pipeline_depth` > 1 switches a worker from the serial
-//!   request/response [`Client`] to a [`PipelinedClient`] that keeps up
-//!   to that many requests in flight, matching completions by
-//!   correlation id in whatever order the server finishes them;
-//! * `rate_ops_per_sec` > 0 switches from closed-loop (issue as fast as
-//!   responses come back) to open-loop: arrivals follow a fixed schedule
-//!   and latency is measured from the *scheduled* time, so server
-//!   backlog shows up as queueing delay instead of quietly throttling
-//!   the arrival stream (the coordinated-omission correction);
-//! * [`mux::run_mux`] (unix) drives thousands of connections from one
-//!   thread over the readiness reactor — the connection-count scaling
-//!   harness, where thread-per-connection driving would perturb the
-//!   measurement more than the server under test.
+//! * `pipeline_depth` — each connection keeps at most this many requests
+//!   in flight; depth 1 is the classic closed loop (issue the next
+//!   operation as soon as the last one answers);
+//! * `rate_ops_per_sec` > 0 — arrivals follow a fixed aggregate schedule
+//!   instead, each going to the next connection with window room (or
+//!   shed, counted, when none has any). Latency is measured from the
+//!   *scheduled* arrival, so server backlog shows up as queueing delay
+//!   instead of quietly throttling the arrival stream (the
+//!   coordinated-omission correction).
+//!
+//! Every connection draws from the seeded weighted mix ([`OpPicker`]) over
+//! one shared object table: zipfian popularity by insertion rank, so GETs
+//! concentrate on a warm set the way archival read traffic does. A DELETE
+//! of an object with GETs in flight becomes a GET of it, so an
+//! out-of-order DELETE can never turn a verified read into a NotFound. A
+//! BUSY answer parks the request and resubmits it after a short
+//! not-before delay — the reactor never sleeps, so one saturated
+//! connection cannot stall the others.
 //!
 //! Determinism: every random choice (op, object, payload size, payload
-//! bytes) derives from `LoadConfig::seed`, so two runs with the same seed
-//! issue the same operation stream per worker. Payload bytes regenerate
-//! from a per-object seed, which is how every GET is verified
-//! byte-for-byte — any corruption the decoder fails to repair shows up as
-//! a `payload_mismatches` count, not a silent pass.
+//! bytes) derives from `LoadConfig::seed`, and trace ids are a pure
+//! function of (seed, connection, op index). Payload bytes regenerate from
+//! a per-object seed, which is how every GET is verified byte-for-byte —
+//! any corruption the decoder fails to repair shows up as a
+//! `payload_mismatches` count, not a silent pass.
 //!
-//! Mid-run failure injection: when `fail_devices` is non-empty, a
-//! dedicated admin connection fails those devices (spaced by
-//! `fail_spacing_ms`) after `fail_after_ms`, while the workers keep
-//! hammering the server — exercising the transparently-degraded read path
-//! under concurrency.
+//! Mid-run failure injection: when `fail_devices` is non-empty, the admin
+//! connection fails those devices (spaced by `fail_spacing_ms`) after
+//! `fail_after_ms`, from a helper thread, while the reactor keeps the
+//! other connections busy — exercising the transparently-degraded read
+//! path under concurrency.
 
-use crate::client::{Client, PipelinedClient};
+use crate::client::Client;
 use crate::error::ClientError;
-use crate::protocol::{Op, Response};
+use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
+use crate::reactor::{Event, Interest, Poller};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 use tornado_obs::{Histogram, Json, Snapshot};
@@ -69,11 +74,12 @@ impl Default for OpMix {
 pub struct LoadConfig {
     /// Server address, e.g. `127.0.0.1:7401`.
     pub addr: String,
-    /// Concurrent connections, one closed-loop worker each.
+    /// Concurrent connections, all driven from one thread.
     pub connections: usize,
-    /// Wall-clock run length in milliseconds (after prefill).
+    /// Measured window in milliseconds: no arrival is issued after it,
+    /// and in-flight requests get a bounded drain.
     pub duration_ms: u64,
-    /// Master seed — same seed, same per-worker operation stream.
+    /// Master seed — same seed, same per-connection operation stream.
     pub seed: u64,
     /// Operation mix.
     pub mix: OpMix,
@@ -83,8 +89,8 @@ pub struct LoadConfig {
     pub payload_max: usize,
     /// Zipf exponent for object popularity (0 = uniform; ~0.99 typical).
     pub zipf_theta: f64,
-    /// Objects each worker PUTs before the measured window opens, so GETs
-    /// have something to hit from the first sample.
+    /// Objects PUT over the admin connection before the measured window
+    /// opens, so GETs have something to hit from the first arrival.
     pub prefill: usize,
     /// Devices to fail mid-run (empty = no injection).
     pub fail_devices: Vec<u32>,
@@ -92,30 +98,25 @@ pub struct LoadConfig {
     pub fail_after_ms: u64,
     /// Spacing between injected failures, milliseconds.
     pub fail_spacing_ms: u64,
-    /// Per-request deadline stamped by each client (0 = none).
+    /// Per-request deadline stamped on every request (0 = none).
     pub deadline_ms: u32,
-    /// Trace propagation: stamp every logical operation with a
-    /// deterministic trace id drawn from the worker's seeded rng, and
-    /// report the 1-in-N ids the server's sampler will keep (same
-    /// `tornado_obs::trace::sampled` key function on both sides).
-    /// 0 stamps no trace ids at all — the wire format stays pre-trace.
+    /// Trace propagation: stamp every operation with a deterministic trace
+    /// id and report the 1-in-N ids the server's sampler will keep (same
+    /// `tornado_obs::trace::sampled` key function on both sides). 0 stamps
+    /// no trace ids at all.
     pub trace_sample: u64,
-    /// Stop each worker after this many measured operations (0 = run
-    /// until the clock). With a generous `duration_ms` this makes the
-    /// op stream — and therefore the sampled trace-id set — an exact
-    /// function of `seed`, independent of server worker count.
+    /// Stop each connection after this many operations (0 = run until the
+    /// clock). With a generous `duration_ms` this makes the op count — and
+    /// therefore the sampled trace-id set — an exact function of `seed`,
+    /// independent of server worker count and pipeline depth.
     pub op_limit: u64,
-    /// Requests each worker keeps in flight on its connection. 1 (or 0)
-    /// is the legacy serial discipline over [`Client`]; greater depths
-    /// switch to [`PipelinedClient`], matching completions by
-    /// correlation id — requires a v2-header server (PR 10+).
+    /// Requests each connection keeps in flight (0 counts as 1). Depth 1
+    /// is closed loop; deeper windows pipeline, matching completions by
+    /// correlation id in whatever order the server finishes them.
     pub pipeline_depth: usize,
-    /// Open-loop arrival rate, operations per second across the whole
-    /// run (0 = closed loop). Each worker paces at `rate / connections`
-    /// and latency is measured from the *scheduled* send time, so a
-    /// server that falls behind accrues queueing delay in the histogram
-    /// instead of silently slowing the arrival stream
-    /// (coordinated-omission corrected).
+    /// Open-loop arrival rate, operations per second across the whole run
+    /// (0 = closed loop). Latency is measured from each operation's
+    /// *scheduled* arrival (coordinated-omission corrected).
     pub rate_ops_per_sec: f64,
 }
 
@@ -146,6 +147,15 @@ impl Default for LoadConfig {
 /// How many slowest-operation exemplars each run retains.
 pub const EXEMPLAR_KEEP: usize = 5;
 
+/// How long a BUSY-answered request waits before it is resubmitted.
+const BUSY_BACKOFF: Duration = Duration::from_millis(1);
+
+/// How long past the measured window in-flight requests may settle.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Longest reactor wait, so the stop and drain clocks stay responsive.
+const MAX_WAIT: Duration = Duration::from_millis(10);
+
 /// One slow sampled operation, printable next to p50/p99 so the operator
 /// can jump straight from a latency number to its span tree in the
 /// server's trace export.
@@ -173,11 +183,13 @@ fn note_exemplar(slowest: &mut Vec<TraceExemplar>, e: TraceExemplar) {
 }
 
 /// Aggregated result of one load run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoadReport {
-    /// Measured window length, milliseconds.
+    /// Connections actually established.
+    pub connected: usize,
+    /// Measured window plus drain, milliseconds.
     pub elapsed_ms: u64,
-    /// Completed operations (excludes busy retries).
+    /// Completed operations (excludes busy retries and prefill).
     pub ops: u64,
     /// Completed PUTs.
     pub puts: u64,
@@ -185,10 +197,17 @@ pub struct LoadReport {
     pub gets: u64,
     /// Completed DELETEs.
     pub deletes: u64,
-    /// BUSY rejections absorbed (each retried after backoff).
+    /// BUSY answers absorbed (each resubmitted after a short delay).
     pub busy_retries: u64,
-    /// Operations that failed with a transport or server error.
+    /// Open-loop arrivals dropped because every connection's window was
+    /// full (shed at the driver).
+    pub shed: u64,
+    /// Operations that failed with a transport or server error (including
+    /// connections that could not be established, and requests lost with
+    /// a dead connection).
     pub errors: u64,
+    /// Requests still unanswered when the drain deadline expired.
+    pub unanswered: u64,
     /// GETs answered UNRECOVERABLE (possible only past the fault
     /// tolerance of the graph).
     pub unrecoverable: u64,
@@ -213,8 +232,8 @@ pub struct LoadReport {
     /// Trace ids the server's deterministic sampler will have kept
     /// (sorted, deduplicated; empty when `trace_sample` is 0).
     pub sampled_trace_ids: Vec<u64>,
-    /// The slowest sampled operations across all workers, latency
-    /// descending (at most [`EXEMPLAR_KEEP`]).
+    /// The slowest sampled operations, latency descending (at most
+    /// [`EXEMPLAR_KEEP`]).
     pub slowest: Vec<TraceExemplar>,
 }
 
@@ -229,6 +248,23 @@ impl LoadReport {
         self.latency_us.percentile(0.99).unwrap_or(0)
     }
 
+    /// Records one completed operation: latency, per-op counter, and —
+    /// when its trace id is one the server's sampler keeps — the sampled
+    /// id and a slowest-exemplar candidate.
+    fn complete(&mut self, trace_sample: u64, trace_id: Option<u64>, op: &'static str, latency_us: u64) {
+        self.latency_us.record(latency_us);
+        self.ops += 1;
+        match op {
+            "put" => self.puts += 1,
+            "get" => self.gets += 1,
+            _ => self.deletes += 1,
+        }
+        if let Some(id) = trace_id.filter(|&id| tornado_obs::trace::sampled(id, trace_sample)) {
+            self.sampled_trace_ids.push(id);
+            note_exemplar(&mut self.slowest, TraceExemplar { latency_us, trace_id: id, op });
+        }
+    }
+
     /// Builds a client-side `tornado-metrics-v1` snapshot of this run,
     /// embedding the server's own final snapshot under `"server"`.
     pub fn snapshot(&self, seed: u64) -> Snapshot {
@@ -240,7 +276,9 @@ impl LoadReport {
             .counter_value("load.get", self.gets)
             .counter_value("load.delete", self.deletes)
             .counter_value("load.busy_retries", self.busy_retries)
+            .counter_value("load.shed", self.shed)
             .counter_value("load.errors", self.errors)
+            .counter_value("load.unanswered", self.unanswered)
             .counter_value("load.unrecoverable", self.unrecoverable)
             .counter_value("load.payload_mismatches", self.payload_mismatches)
             .counter_value("load.devices_failed", self.devices_failed.len() as u64)
@@ -282,28 +320,161 @@ pub fn payload_for(seed: u64, len: usize) -> Vec<u8> {
     buf
 }
 
-/// One worker's view of an object it stored.
+/// `payload == payload_for(seed, len)`, without materialising the
+/// expected bytes.
+pub fn payload_matches(seed: u64, len: usize, payload: &[u8]) -> bool {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    payload.len() == len
+        && payload.chunks(8).all(|chunk| chunk == &rng.next_u64().to_le_bytes()[..chunk.len()])
+}
+
+/// The seeded op-choice stream of connection `conn`. Golden-ratio stride
+/// keeps per-connection streams uncorrelated while the whole run stays a
+/// pure function of the seed.
+pub fn conn_rng(seed: u64, conn: u64) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(conn + 1))
+}
+
+/// The trace id of operation `op` on connection `conn`: a mix of the
+/// three, so the sampled set never depends on timing.
+fn trace_id_for(seed: u64, conn: u64, op: u64) -> u64 {
+    tornado_obs::trace::mix64(
+        seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ op.wrapping_mul(0xD1B5_4A32_D192_ED03),
+    )
+}
+
+/// One operation drawn from the mix.
+#[derive(Clone, Debug)]
+pub enum MixOp {
+    /// Store a fresh object whose bytes are `payload_for(obj_seed, len)`.
+    Put {
+        /// Object name (unique across the run).
+        name: String,
+        /// Payload seed.
+        obj_seed: u64,
+        /// Payload length, bytes.
+        len: usize,
+    },
+    /// Read an object; it must equal `payload_for(obj_seed, len)`.
+    Get {
+        /// Object id.
+        id: u64,
+        /// Payload seed the object was stored with.
+        obj_seed: u64,
+        /// Payload length, bytes.
+        len: usize,
+    },
+    /// Delete an object (already out of the table, so no later op picks it).
+    Delete {
+        /// Object id.
+        id: u64,
+    },
+}
+
+impl MixOp {
+    /// The wire request for this operation.
+    fn to_op(&self) -> Op {
+        match self {
+            MixOp::Put { name, obj_seed, len } => {
+                Op::Put { name: name.clone(), payload: payload_for(*obj_seed, *len) }
+            }
+            MixOp::Get { id, .. } => Op::Get { id: *id },
+            MixOp::Delete { id } => Op::Delete { id: *id },
+        }
+    }
+}
+
+/// One stored object.
+#[derive(Clone, Copy)]
 struct ObjEntry {
     id: u64,
     seed: u64,
     len: usize,
 }
 
-/// Zipfian sampler over a growing table: object at rank `r` (insertion
-/// order) has weight `1/(r+1)^theta`, so earlier objects stay hottest.
-struct ZipfTable {
-    entries: Vec<ObjEntry>,
-    cumulative: Vec<f64>,
+/// The driver's op picker: the weighted mix over one object table that
+/// every connection shares. Object at rank `r` (insertion order) has
+/// weight `1/(r+1)^theta`, so earlier objects stay hottest.
+pub struct OpPicker {
+    mix: OpMix,
+    payload_min: usize,
+    payload_max: usize,
     theta: f64,
+    entries: Vec<ObjEntry>,
+    /// Running sum of the rank weights. Weights depend on rank alone, so
+    /// removing an entry only drops the last sum.
+    cumulative: Vec<f64>,
+    /// Objects with GETs in flight, by id, with their count.
+    reading: HashMap<u64, u32>,
+    /// Next object-name sequence number.
+    names: u64,
 }
 
-impl ZipfTable {
-    fn new(theta: f64) -> Self {
-        Self { entries: Vec::new(), cumulative: Vec::new(), theta }
+impl OpPicker {
+    /// An empty table with `cfg`'s mix, payload sizes and popularity skew.
+    pub fn new(cfg: &LoadConfig) -> Self {
+        Self {
+            mix: cfg.mix,
+            payload_min: cfg.payload_min,
+            payload_max: cfg.payload_max,
+            theta: cfg.zipf_theta,
+            entries: Vec::new(),
+            cumulative: Vec::new(),
+            reading: HashMap::new(),
+            names: 0,
+        }
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
+    /// Draws the next operation from `rng`. An empty table always PUTs;
+    /// a DELETE of an object with GETs in flight becomes a GET of it.
+    pub fn pick(&mut self, rng: &mut SmallRng) -> MixOp {
+        let total = self.mix.put + self.mix.get + self.mix.delete;
+        let roll = if total == 0 { 0 } else { rng.gen_range(0..total) };
+        if roll < self.mix.put || self.entries.is_empty() {
+            return self.pick_put(rng);
+        }
+        let i = self.sample(rng);
+        let ObjEntry { id, seed, len } = self.entries[i];
+        if roll >= self.mix.put + self.mix.get && !self.reading.contains_key(&id) {
+            self.remove(i);
+            return MixOp::Delete { id };
+        }
+        *self.reading.entry(id).or_insert(0) += 1;
+        MixOp::Get { id, obj_seed: seed, len }
+    }
+
+    /// Draws a fresh PUT (size uniform in the payload range) regardless
+    /// of the mix — how prefill fills the table.
+    pub fn pick_put(&mut self, rng: &mut SmallRng) -> MixOp {
+        let len = if self.payload_max > self.payload_min {
+            rng.gen_range(self.payload_min..=self.payload_max)
+        } else {
+            self.payload_min
+        };
+        let name = format!("load-{}", self.names);
+        self.names += 1;
+        MixOp::Put { name, obj_seed: rng.next_u64(), len: len.max(1) }
+    }
+
+    /// Settles a finished operation: an acked PUT (`put_id`) enters the
+    /// table, a GET stops pinning its object against DELETE.
+    pub fn finish(&mut self, op: &MixOp, put_id: Option<u64>) {
+        match *op {
+            MixOp::Put { obj_seed, len, .. } => {
+                if let Some(id) = put_id {
+                    self.push(ObjEntry { id, seed: obj_seed, len });
+                }
+            }
+            MixOp::Get { id, .. } => {
+                if let Some(n) = self.reading.get_mut(&id) {
+                    *n -= 1;
+                    if *n == 0 {
+                        self.reading.remove(&id);
+                    }
+                }
+            }
+            MixOp::Delete { .. } => {}
+        }
     }
 
     fn push(&mut self, e: ObjEntry) {
@@ -321,145 +492,446 @@ impl ZipfTable {
         self.cumulative.partition_point(|&c| c <= u).min(self.entries.len() - 1)
     }
 
-    /// Removes index `i`, recomputing the rank weights of what remains.
-    fn remove(&mut self, i: usize) -> ObjEntry {
-        let e = self.entries.remove(i);
-        self.cumulative.clear();
-        let mut total = 0.0;
-        for rank in 0..self.entries.len() {
-            total += 1.0 / ((rank + 1) as f64).powf(self.theta);
-            self.cumulative.push(total);
-        }
-        e
+    /// Removes index `i`; later entries move up one rank.
+    fn remove(&mut self, i: usize) {
+        self.cumulative.pop();
+        self.entries.remove(i);
     }
 }
 
-/// Per-worker tallies, summed into the report after join.
-#[derive(Default)]
-struct WorkerTally {
-    ops: u64,
-    puts: u64,
-    gets: u64,
-    deletes: u64,
-    busy_retries: u64,
-    errors: u64,
-    unrecoverable: u64,
-    payload_mismatches: u64,
-    latency_us: Histogram,
-    sampled_trace_ids: Vec<u64>,
-    slowest: Vec<TraceExemplar>,
+/// One request on the wire (or parked after a BUSY), awaiting completion.
+struct Pending {
+    op: MixOp,
+    trace_id: Option<u64>,
+    /// Latency origin: the scheduled arrival (open loop) or the first
+    /// submit (closed loop). Survives BUSY resubmits unchanged.
+    sched: Instant,
 }
 
-impl WorkerTally {
-    /// Records one completed operation: latency, per-op counter, and —
-    /// when its trace id is one the server's sampler keeps — the sampled
-    /// id and a slowest-exemplar candidate.
-    fn complete(&mut self, cfg: &LoadConfig, trace_id: Option<u64>, op: &'static str, latency_us: u64) {
-        self.latency_us.record(latency_us);
-        self.ops += 1;
-        match op {
-            "put" => self.puts += 1,
-            "get" => self.gets += 1,
-            "delete" => self.deletes += 1,
-            _ => {}
+/// One driven connection.
+struct Conn {
+    stream: TcpStream,
+    inbuf: FrameBuffer,
+    out: Vec<u8>,
+    out_pos: usize,
+    /// Requests on the wire, by correlation id.
+    inflight: Vec<(u32, Pending)>,
+    /// Requests parked after a BUSY (they hold window room).
+    parked: usize,
+    next_corr: u32,
+    /// Operations issued so far — the op index of the next trace id.
+    issued: u64,
+    rng: SmallRng,
+    write_interest: bool,
+    dead: bool,
+}
+
+impl Conn {
+    fn window(&self) -> usize {
+        self.inflight.len() + self.parked
+    }
+
+    fn has_output(&self) -> bool {
+        self.out_pos < self.out.len()
+    }
+}
+
+/// The reactor and everything it drives.
+struct Driver<'a> {
+    cfg: &'a LoadConfig,
+    poller: Poller,
+    conns: Vec<Conn>,
+    picker: OpPicker,
+    depth: usize,
+    /// BUSY-answered requests waiting for their not-before time.
+    retries: Vec<(Instant, usize, Pending)>,
+    /// Operations issued and not yet settled (in flight or parked).
+    outstanding: usize,
+    /// Connections that may still issue (alive, under `op_limit`).
+    open: usize,
+    report: LoadReport,
+}
+
+impl Driver<'_> {
+    /// Connection `c` has reached its `op_limit`.
+    fn limit_hit(&self, c: usize) -> bool {
+        self.cfg.op_limit > 0 && self.conns[c].issued >= self.cfg.op_limit
+    }
+
+    /// Room for one more operation on connection `c`.
+    fn has_room(&self, c: usize) -> bool {
+        !self.conns[c].dead && self.conns[c].window() < self.depth && !self.limit_hit(c)
+    }
+
+    /// Draws the next operation for connection `c` and sends it.
+    fn issue(&mut self, c: usize, sched: Instant) {
+        let conn = &mut self.conns[c];
+        let op = self.picker.pick(&mut conn.rng);
+        let trace_id =
+            (self.cfg.trace_sample > 0).then(|| trace_id_for(self.cfg.seed, c as u64, conn.issued));
+        conn.issued += 1;
+        self.outstanding += 1;
+        if self.limit_hit(c) {
+            self.open -= 1;
         }
-        if let Some(id) = trace_id {
-            if tornado_obs::trace::sampled(id, cfg.trace_sample) {
-                self.sampled_trace_ids.push(id);
-                note_exemplar(&mut self.slowest, TraceExemplar { latency_us, trace_id: id, op });
+        self.send(c, Pending { op, trace_id, sched });
+    }
+
+    /// Settles an operation that will get no (further) answer.
+    fn settle_lost(&mut self, p: &Pending) {
+        self.report.errors += 1;
+        self.outstanding -= 1;
+        self.picker.finish(&p.op, None);
+    }
+
+    /// Frames `p` onto connection `c`'s output buffer.
+    fn send(&mut self, c: usize, p: Pending) {
+        if self.conns[c].dead {
+            return self.settle_lost(&p);
+        }
+        let conn = &mut self.conns[c];
+        let corr = conn.next_corr;
+        conn.next_corr = conn.next_corr.wrapping_add(1);
+        let req = Request {
+            deadline_ms: self.cfg.deadline_ms,
+            corr_id: Some(corr),
+            trace_id: p.trace_id,
+            op: p.op.to_op(),
+        };
+        append_frame(&mut conn.out, &req.encode());
+        conn.inflight.push((corr, p));
+    }
+
+    /// Closed loop: fills connection `c`'s window.
+    fn top_up(&mut self, c: usize) {
+        while self.has_room(c) {
+            self.issue(c, Instant::now());
+        }
+    }
+
+    /// Writes as much buffered output as the socket accepts, tracking
+    /// write interest across WouldBlock.
+    fn flush(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        while conn.out_pos < conn.out.len() {
+            match conn.stream.write(&conn.out[conn.out_pos..]) {
+                Ok(0) => return self.kill(c),
+                Ok(n) => conn.out_pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if !conn.write_interest {
+                        conn.write_interest = true;
+                        let _ = self.poller.reregister(&conn.stream, c as u64, Interest::READ_WRITE);
+                    }
+                    return;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return self.kill(c),
             }
         }
+        conn.out.clear();
+        conn.out_pos = 0;
+        if conn.write_interest {
+            conn.write_interest = false;
+            let _ = self.poller.reregister(&conn.stream, c as u64, Interest::READ);
+        }
+    }
+
+    /// Drains readable bytes and settles every completed frame; a closed
+    /// or broken connection dies after its last whole responses settle.
+    fn read(&mut self, c: usize, scratch: &mut [u8]) {
+        let mut closed = false;
+        loop {
+            match self.conns[c].stream.read(scratch) {
+                Ok(0) => closed = true,
+                Ok(n) => {
+                    self.conns[c].inbuf.extend(&scratch[..n]);
+                    continue;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => closed = true,
+            }
+            break;
+        }
+        loop {
+            match self.conns[c].inbuf.next_frame() {
+                Ok(Some(body)) => self.settle(c, &body),
+                Ok(None) => break,
+                Err(_) => {
+                    closed = true;
+                    break;
+                }
+            }
+        }
+        if closed {
+            self.kill(c);
+        }
+    }
+
+    /// Matches one response frame to its request and records the outcome.
+    fn settle(&mut self, c: usize, body: &[u8]) {
+        let found = Response::decode_corr(body).ok().and_then(|(corr, resp)| {
+            let conn = &mut self.conns[c];
+            let i = conn.inflight.iter().position(|(k, _)| Some(*k) == corr)?;
+            Some((conn.inflight.swap_remove(i).1, resp))
+        });
+        let Some((p, resp)) = found else {
+            // Undecodable, uncorrelated, or a correlation id never issued.
+            self.report.errors += 1;
+            return;
+        };
+        if resp == Response::Busy {
+            self.report.busy_retries += 1;
+            self.conns[c].parked += 1;
+            self.retries.push((Instant::now() + BUSY_BACKOFF, c, p));
+            return;
+        }
+        let latency_us = p.sched.elapsed().as_micros() as u64;
+        let trace_sample = self.cfg.trace_sample;
+        let mut put_id = None;
+        match (resp, &p.op) {
+            (Response::PutOk { id }, MixOp::Put { .. }) => {
+                put_id = Some(id);
+                self.report.complete(trace_sample, p.trace_id, "put", latency_us);
+            }
+            (Response::GetOk { payload }, MixOp::Get { obj_seed, len, .. }) => {
+                if !payload_matches(*obj_seed, *len, &payload) {
+                    self.report.payload_mismatches += 1;
+                }
+                self.report.complete(trace_sample, p.trace_id, "get", latency_us);
+            }
+            (Response::Ok, MixOp::Delete { .. }) => {
+                self.report.complete(trace_sample, p.trace_id, "delete", latency_us);
+            }
+            (Response::Unrecoverable { .. }, MixOp::Get { .. }) => self.report.unrecoverable += 1,
+            _ => self.report.errors += 1,
+        }
+        self.outstanding -= 1;
+        self.picker.finish(&p.op, put_id);
+    }
+
+    /// Resubmits every parked request whose not-before time has come,
+    /// noting the connections that now have output.
+    fn resubmit_due(&mut self, now: Instant, dirty: &mut Vec<usize>) {
+        let mut i = 0;
+        while i < self.retries.len() {
+            if self.retries[i].0 <= now {
+                let (_, c, p) = self.retries.swap_remove(i);
+                self.conns[c].parked -= 1;
+                self.send(c, p);
+                dirty.push(c);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Tears a connection down; its in-flight and parked requests become
+    /// errors.
+    fn kill(&mut self, c: usize) {
+        let conn = &mut self.conns[c];
+        if conn.dead {
+            return;
+        }
+        conn.dead = true;
+        let _ = self.poller.deregister(&conn.stream);
+        conn.out.clear();
+        conn.out_pos = 0;
+        conn.parked = 0;
+        let lost: Vec<Pending> = conn.inflight.drain(..).map(|(_, p)| p).collect();
+        if !self.limit_hit(c) {
+            self.open -= 1;
+        }
+        let (parked, kept): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.retries).into_iter().partition(|r| r.1 == c);
+        self.retries = kept;
+        for p in lost.into_iter().chain(parked.into_iter().map(|r| r.2)) {
+            self.settle_lost(&p);
+        }
+    }
+
+    /// The reactor loop: arrivals, retries, readiness, until the window
+    /// closes and in-flight requests settle (or the drain deadline).
+    fn run(&mut self) -> Result<(), ClientError> {
+        let interval = (self.cfg.rate_ops_per_sec > 0.0)
+            .then(|| Duration::from_secs_f64(1.0 / self.cfg.rate_ops_per_sec));
+        let start = Instant::now();
+        let stop_at = start + Duration::from_millis(self.cfg.duration_ms);
+        let drain_by = stop_at + DRAIN_GRACE;
+        let mut arrivals = 0u64;
+        let mut rr = 0usize;
+        let mut events: Vec<Event> = Vec::new();
+        let mut scratch = vec![0u8; 64 << 10];
+        let mut dirty: Vec<usize> = Vec::new();
+
+        if interval.is_none() {
+            for c in 0..self.conns.len() {
+                self.top_up(c);
+                self.flush(c);
+            }
+        }
+        loop {
+            let now = Instant::now();
+            self.resubmit_due(now, &mut dirty);
+            if let Some(iv) = interval {
+                // Every arrival that is due goes to the next connection
+                // with window room, or is shed.
+                while now < stop_at && self.open > 0 {
+                    let due = start + iv.mul_f64(arrivals as f64);
+                    if due > now {
+                        break;
+                    }
+                    arrivals += 1;
+                    let n = self.conns.len();
+                    match (0..n).map(|k| (rr + k) % n).find(|&c| self.has_room(c)) {
+                        Some(c) => {
+                            self.issue(c, due);
+                            rr = c + 1;
+                            dirty.push(c);
+                        }
+                        None => self.report.shed += 1,
+                    }
+                }
+            }
+            for c in dirty.drain(..) {
+                self.flush(c);
+            }
+
+            if self.outstanding == 0 && (now >= stop_at || self.open == 0) {
+                break;
+            }
+            if now >= drain_by {
+                self.report.unanswered = self.outstanding as u64;
+                break;
+            }
+
+            let mut wake = now + MAX_WAIT;
+            if let (Some(iv), true) = (interval, now < stop_at) {
+                wake = wake.min(start + iv.mul_f64(arrivals as f64));
+            }
+            if let Some(t) = self.retries.iter().map(|r| r.0).min() {
+                wake = wake.min(t);
+            }
+            self.poller
+                .wait(&mut events, Some(wake.saturating_duration_since(now)))
+                .map_err(ClientError::Io)?;
+            for ev in events.drain(..) {
+                let c = ev.token as usize;
+                if self.conns[c].dead {
+                    continue;
+                }
+                if ev.readable {
+                    self.read(c, &mut scratch);
+                    if interval.is_none() && Instant::now() < stop_at {
+                        self.top_up(c);
+                    }
+                }
+                if !self.conns[c].dead && (ev.writable || self.conns[c].has_output()) {
+                    self.flush(c);
+                }
+            }
+        }
+        self.report.elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
+        Ok(())
     }
 }
 
 /// Runs the load and returns the aggregated report.
 ///
-/// Fails fast if the first connection cannot be established; individual
-/// op errors during the run are counted, not fatal.
+/// Fails fast if the server is unreachable, prefill fails, or no
+/// connection can be established; errors on individual connections
+/// during the run are counted, not fatal.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
-    // Probe the server before spawning anything.
     let mut admin = Client::connect(&cfg.addr)?;
     admin.ping()?;
-
+    let mut picker = OpPicker::new(cfg);
     let connections = cfg.connections.max(1);
-    let start = Instant::now();
-    let stop_at = start + Duration::from_millis(cfg.duration_ms);
-    let seq = Arc::new(AtomicU64::new(0));
-
-    let mut tallies: Vec<WorkerTally> = Vec::with_capacity(connections);
-    let mut devices_failed = Vec::new();
-    thread::scope(|s| {
-        let workers: Vec<_> = (0..connections)
-            .map(|worker| {
-                let cfg = cfg.clone();
-                let seq = Arc::clone(&seq);
-                s.spawn(move || {
-                    if cfg.pipeline_depth > 1 {
-                        worker_loop_pipelined(&cfg, worker as u64, stop_at, &seq)
-                    } else {
-                        worker_loop(&cfg, worker as u64, stop_at, &seq)
-                    }
-                })
-            })
-            .collect();
-
-        // Failure injection rides on the admin connection while workers run.
-        if !cfg.fail_devices.is_empty() {
-            thread::sleep(Duration::from_millis(cfg.fail_after_ms));
-            for &device in &cfg.fail_devices {
-                match admin.fail_device(device) {
-                    Ok(()) => devices_failed.push(device),
-                    Err(_) => break,
-                }
-                thread::sleep(Duration::from_millis(cfg.fail_spacing_ms));
-            }
-        }
-
-        for w in workers {
-            tallies.push(w.join().expect("load worker panicked"));
-        }
-    });
-    let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
-
-    let mut report = LoadReport {
-        elapsed_ms,
-        ops: 0,
-        puts: 0,
-        gets: 0,
-        deletes: 0,
-        busy_retries: 0,
-        errors: 0,
-        unrecoverable: 0,
-        payload_mismatches: 0,
-        ops_per_sec: 0.0,
-        latency_us: Histogram::new(),
-        devices_failed,
-        degraded_reads: 0,
-        replans: 0,
-        repair_bytes: 0,
-        server_metrics_json: String::new(),
-        sampled_trace_ids: Vec::new(),
-        slowest: Vec::new(),
-    };
-    for t in &tallies {
-        report.ops += t.ops;
-        report.puts += t.puts;
-        report.gets += t.gets;
-        report.deletes += t.deletes;
-        report.busy_retries += t.busy_retries;
-        report.errors += t.errors;
-        report.unrecoverable += t.unrecoverable;
-        report.payload_mismatches += t.payload_mismatches;
-        report.latency_us.merge(&t.latency_us);
-        report.sampled_trace_ids.extend(&t.sampled_trace_ids);
-        for &e in &t.slowest {
-            note_exemplar(&mut report.slowest, e);
-        }
+    let mut rng = conn_rng(cfg.seed, connections as u64);
+    for _ in 0..cfg.prefill {
+        let op = picker.pick_put(&mut rng);
+        let MixOp::Put { name, obj_seed, len } = &op else { unreachable!("pick_put puts") };
+        let id = admin.put(name, &payload_for(*obj_seed, *len))?;
+        picker.finish(&op, Some(id));
     }
+
+    // File descriptors: connections + listener-side headroom.
+    let _ = crate::reactor::raise_nofile_limit(connections as u64 + 128);
+    let poller = Poller::new().map_err(ClientError::Io)?;
+    let mut conns = Vec::with_capacity(connections);
+    let mut connect_errors = 0;
+    for _ in 0..connections {
+        // Blocking connect gives natural backpressure against the
+        // server's accept queue; nonblocking takes over after.
+        let stream = match TcpStream::connect(&cfg.addr) {
+            Ok(s) => s,
+            Err(_) => {
+                connect_errors += 1;
+                continue;
+            }
+        };
+        let _ = stream.set_nodelay(true);
+        stream.set_nonblocking(true).map_err(ClientError::Io)?;
+        let c = conns.len();
+        poller.register(&stream, c as u64, Interest::READ).map_err(ClientError::Io)?;
+        conns.push(Conn {
+            stream,
+            inbuf: FrameBuffer::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            inflight: Vec::new(),
+            parked: 0,
+            next_corr: 0,
+            issued: 0,
+            rng: conn_rng(cfg.seed, c as u64),
+            write_interest: false,
+            dead: false,
+        });
+    }
+    if conns.is_empty() {
+        return Err(ClientError::Unexpected("no load connections established".into()));
+    }
+
+    let connected = conns.len();
+    let mut driver = Driver {
+        cfg,
+        poller,
+        conns,
+        picker,
+        depth: cfg.pipeline_depth.max(1),
+        retries: Vec::new(),
+        outstanding: 0,
+        open: connected,
+        report: LoadReport { connected, errors: connect_errors, ..LoadReport::default() },
+    };
+
+    // Failure injection rides on the admin connection while the reactor
+    // drives the others.
+    let (run, devices_failed) = thread::scope(|s| {
+        let injector = s.spawn(|| {
+            let mut failed = Vec::new();
+            if !cfg.fail_devices.is_empty() {
+                thread::sleep(Duration::from_millis(cfg.fail_after_ms));
+                for &device in &cfg.fail_devices {
+                    if admin.fail_device(device).is_err() {
+                        break;
+                    }
+                    failed.push(device);
+                    thread::sleep(Duration::from_millis(cfg.fail_spacing_ms));
+                }
+            }
+            failed
+        });
+        let run = driver.run();
+        (run, injector.join().expect("failure injector panicked"))
+    });
+    run?;
+
+    let mut report = driver.report;
+    report.devices_failed = devices_failed;
     report.sampled_trace_ids.sort_unstable();
     report.sampled_trace_ids.dedup();
     report.slowest.sort_unstable_by_key(|e| std::cmp::Reverse(e.latency_us));
-    report.ops_per_sec = report.ops as f64 * 1000.0 / elapsed_ms as f64;
+    report.ops_per_sec = report.ops as f64 * 1000.0 / report.elapsed_ms as f64;
 
     report.server_metrics_json = admin.metrics()?;
     if let Ok(doc) = tornado_obs::json::parse(&report.server_metrics_json) {
@@ -473,900 +945,36 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, ClientError> {
     Ok(report)
 }
 
-fn worker_loop(cfg: &LoadConfig, worker: u64, stop_at: Instant, seq: &AtomicU64) -> WorkerTally {
-    let mut tally = WorkerTally::default();
-    let mut client = match Client::connect(&cfg.addr) {
-        Ok(c) => c,
-        Err(_) => {
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    client.set_deadline_ms(cfg.deadline_ms);
-    // Golden-ratio stride keeps per-worker streams uncorrelated while the
-    // whole run stays a pure function of cfg.seed.
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
-    let mut table = ZipfTable::new(cfg.zipf_theta);
-
-    for _ in 0..cfg.prefill {
-        let tid = next_trace_id(cfg, &mut rng, &mut client);
-        do_put(cfg, &mut client, &mut rng, &mut table, seq, &mut tally, tid, None);
-    }
-
-    // Open-loop pacing: one worker owns a 1/connections slice of the
-    // aggregate rate, and each operation's latency clock starts at its
-    // *scheduled* arrival, not when the (possibly backlogged) worker got
-    // around to sending it.
-    let interval = per_worker_interval(cfg);
-    let open_start = Instant::now();
-    let mut issued: u64 = 0;
-
-    let measured_start = tally.ops;
-    while Instant::now() < stop_at
-        && (cfg.op_limit == 0 || tally.ops - measured_start < cfg.op_limit)
-    {
-        let sched = match interval {
-            Some(iv) => {
-                let due = open_start + Duration::from_secs_f64(issued as f64 * iv.as_secs_f64());
-                if due >= stop_at {
-                    break;
-                }
-                let now = Instant::now();
-                if due > now {
-                    thread::sleep(due - now);
-                }
-                Some(due)
-            }
-            None => None,
-        };
-        issued += 1;
-        // The trace id is drawn from the same seeded stream as the op
-        // choice, so the id sequence — and the sampled subset — is an
-        // exact function of (seed, worker index).
-        let tid = next_trace_id(cfg, &mut rng, &mut client);
-        let total = cfg.mix.put + cfg.mix.get + cfg.mix.delete;
-        let pick = if total == 0 { 0 } else { rng.gen_range(0..total) };
-        if pick < cfg.mix.put || table.len() == 0 {
-            do_put(cfg, &mut client, &mut rng, &mut table, seq, &mut tally, tid, sched);
-        } else if pick < cfg.mix.put + cfg.mix.get {
-            do_get(cfg, &mut client, &mut rng, &mut table, &mut tally, tid, sched);
-        } else {
-            do_delete(cfg, &mut client, &mut rng, &mut table, &mut tally, tid, sched);
-        }
-    }
-    tally
-}
-
-/// The per-worker arrival interval for open-loop runs (`None` = closed
-/// loop).
-fn per_worker_interval(cfg: &LoadConfig) -> Option<Duration> {
-    if cfg.rate_ops_per_sec > 0.0 {
-        Some(Duration::from_secs_f64(
-            cfg.connections.max(1) as f64 / cfg.rate_ops_per_sec,
-        ))
-    } else {
-        None
-    }
-}
-
-/// Draws the next logical operation's trace id and stamps it on the
-/// client (retries inside the op keep the same id, so their spans land
-/// in one trace). `None` — and an untraced wire header — when trace
-/// propagation is off.
-fn next_trace_id(cfg: &LoadConfig, rng: &mut SmallRng, client: &mut Client) -> Option<u64> {
-    if cfg.trace_sample == 0 {
-        return None;
-    }
-    let tid = rng.next_u64();
-    client.set_trace_id(Some(tid));
-    Some(tid)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn do_put(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    seq: &AtomicU64,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let len = if cfg.payload_max > cfg.payload_min {
-        rng.gen_range(cfg.payload_min..=cfg.payload_max)
-    } else {
-        cfg.payload_min.max(1)
-    };
-    let obj_seed = rng.next_u64();
-    let payload = payload_for(obj_seed, len.max(1));
-    // The atomic sequence makes names globally unique across workers;
-    // payload bytes stay a pure function of obj_seed.
-    let name = format!("load-{}", seq.fetch_add(1, Ordering::Relaxed));
-    loop {
-        // Open loop: the clock starts at the scheduled arrival and keeps
-        // running across busy retries — backlog is the user's latency.
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.put(&name, &payload) {
-            Ok(id) => {
-                tally.complete(cfg, trace_id, "put", t.elapsed().as_micros() as u64);
-                table.push(ObjEntry { id, seed: obj_seed, len: len.max(1) });
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
-    }
-}
-
-fn do_get(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let i = table.sample(rng);
-    let (id, seed, len) = {
-        let e = &table.entries[i];
-        (e.id, e.seed, e.len)
-    };
-    loop {
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.get(id) {
-            Ok(payload) => {
-                tally.complete(cfg, trace_id, "get", t.elapsed().as_micros() as u64);
-                if payload != payload_for(seed, len) {
-                    tally.payload_mismatches += 1;
-                }
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(ClientError::Unrecoverable { .. }) => {
-                tally.unrecoverable += 1;
-                return;
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
-    }
-}
-
-fn do_delete(
-    cfg: &LoadConfig,
-    client: &mut Client,
-    rng: &mut SmallRng,
-    table: &mut ZipfTable,
-    tally: &mut WorkerTally,
-    trace_id: Option<u64>,
-    sched: Option<Instant>,
-) {
-    let i = table.sample(rng);
-    let e = table.remove(i);
-    loop {
-        let t = sched.unwrap_or_else(Instant::now);
-        match client.delete(e.id) {
-            Ok(()) => {
-                tally.complete(cfg, trace_id, "delete", t.elapsed().as_micros() as u64);
-                return;
-            }
-            Err(ClientError::Busy) => {
-                tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                tally.errors += 1;
-                return;
-            }
-        }
-    }
-}
-
-/// What one in-flight pipelined request was, in enough detail to verify
-/// its completion — or resubmit it verbatim after a BUSY.
-enum PendingKind {
-    /// `obj_seed`/`len` regenerate the payload on retry (and are what
-    /// the table learns on PutOk), so no payload bytes are retained.
-    Put { name: String, obj_seed: u64, len: usize },
-    Get { obj_id: u64, obj_seed: u64, len: usize },
-    Delete { obj_id: u64 },
-}
-
-/// One submitted-but-unanswered pipelined request.
-struct PendingOp {
-    kind: PendingKind,
-    trace_id: Option<u64>,
-    /// Latency origin: the scheduled arrival (open loop) or the submit
-    /// instant (closed loop). Survives busy-resubmits unchanged.
-    sched: Instant,
-}
-
-/// Mutable state of one pipelined worker, so submit/receive logic can be
-/// factored into methods instead of functions with ten parameters.
-struct PipelinedWorker<'a> {
-    cfg: &'a LoadConfig,
-    client: PipelinedClient,
-    rng: SmallRng,
-    table: ZipfTable,
-    /// In-flight requests by correlation id.
-    pending: HashMap<u32, PendingOp>,
-    /// Objects with in-flight GETs, by object id — a DELETE of such an
-    /// object is deferred (its out-of-order completion could otherwise
-    /// race the reads and turn verified GETs into NotFounds).
-    inflight_gets: HashMap<u64, u32>,
-    tally: WorkerTally,
-    seq: &'a AtomicU64,
-}
-
-impl PipelinedWorker<'_> {
-    /// Draws the next op from the weighted mix. DELETE of an object with
-    /// reads still in flight degrades to a GET of that object.
-    fn pick_kind(&mut self) -> PendingKind {
-        let total = self.cfg.mix.put + self.cfg.mix.get + self.cfg.mix.delete;
-        let pick = if total == 0 { 0 } else { self.rng.gen_range(0..total) };
-        if pick < self.cfg.mix.put || self.table.len() == 0 {
-            let len = if self.cfg.payload_max > self.cfg.payload_min {
-                self.rng.gen_range(self.cfg.payload_min..=self.cfg.payload_max)
-            } else {
-                self.cfg.payload_min.max(1)
-            };
-            let obj_seed = self.rng.next_u64();
-            let name = format!("load-{}", self.seq.fetch_add(1, Ordering::Relaxed));
-            return PendingKind::Put { name, obj_seed, len: len.max(1) };
-        }
-        let i = self.table.sample(&mut self.rng);
-        if pick < self.cfg.mix.put + self.cfg.mix.get
-            || self.inflight_gets.get(&self.table.entries[i].id).copied().unwrap_or(0) > 0
-        {
-            let e = &self.table.entries[i];
-            PendingKind::Get { obj_id: e.id, obj_seed: e.seed, len: e.len }
-        } else {
-            // Removing at submit time keeps later picks off this object.
-            let e = self.table.remove(i);
-            PendingKind::Delete { obj_id: e.id }
-        }
-    }
-
-    /// Submits `kind`, registering it in the pending window. Returns
-    /// `false` when the connection is unusable.
-    fn submit_kind(&mut self, kind: PendingKind, trace_id: Option<u64>, sched: Instant) -> bool {
-        let op = match &kind {
-            PendingKind::Put { name, obj_seed, len } => {
-                Op::Put { name: name.clone(), payload: payload_for(*obj_seed, *len) }
-            }
-            PendingKind::Get { obj_id, .. } => Op::Get { id: *obj_id },
-            PendingKind::Delete { obj_id } => Op::Delete { id: *obj_id },
-        };
-        self.client.set_trace_id(trace_id);
-        match self.client.submit(op) {
-            Ok(corr) => {
-                if let PendingKind::Get { obj_id, .. } = &kind {
-                    *self.inflight_gets.entry(*obj_id).or_insert(0) += 1;
-                }
-                self.pending.insert(corr, PendingOp { kind, trace_id, sched });
-                true
-            }
-            Err(_) => {
-                self.tally.errors += 1;
-                false
-            }
-        }
-    }
-
-    /// Blocks for one completion and settles it against the pending
-    /// window. Returns `false` when the connection is unusable.
-    fn recv_one(&mut self) -> bool {
-        let (corr, resp) = match self.client.recv() {
-            Ok(pair) => pair,
-            Err(_) => {
-                self.tally.errors += 1;
-                return false;
-            }
-        };
-        let Some(p) = self.pending.remove(&corr) else {
-            // A correlation id we never issued — protocol breakage.
-            self.tally.errors += 1;
-            return true;
-        };
-        if let PendingKind::Get { obj_id, .. } = &p.kind {
-            if let Some(n) = self.inflight_gets.get_mut(obj_id) {
-                *n = n.saturating_sub(1);
-                if *n == 0 {
-                    self.inflight_gets.remove(obj_id);
-                }
-            }
-        }
-        let latency_us = p.sched.elapsed().as_micros() as u64;
-        match (resp, p.kind) {
-            (Response::PutOk { id }, PendingKind::Put { obj_seed, len, .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "put", latency_us);
-                self.table.push(ObjEntry { id, seed: obj_seed, len });
-            }
-            (Response::GetOk { payload }, PendingKind::Get { obj_seed, len, .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "get", latency_us);
-                if payload != payload_for(obj_seed, len) {
-                    self.tally.payload_mismatches += 1;
-                }
-            }
-            (Response::Ok, PendingKind::Delete { .. }) => {
-                self.tally.complete(self.cfg, p.trace_id, "delete", latency_us);
-            }
-            (Response::Busy, kind) => {
-                // Same backoff as the serial path, then the identical op
-                // goes back out under a fresh correlation id with its
-                // original latency clock still running.
-                self.tally.busy_retries += 1;
-                thread::sleep(Duration::from_millis(1));
-                return self.submit_kind(kind, p.trace_id, p.sched);
-            }
-            (Response::Unrecoverable { .. }, PendingKind::Get { .. }) => {
-                self.tally.unrecoverable += 1;
-            }
-            _ => {
-                self.tally.errors += 1;
-            }
-        }
-        true
-    }
-}
-
-/// The pipelined worker body: up to `pipeline_depth` requests in flight
-/// on one connection, completions settled in whatever order the shards
-/// finish them.
-fn worker_loop_pipelined(
-    cfg: &LoadConfig,
-    worker: u64,
-    stop_at: Instant,
-    seq: &AtomicU64,
-) -> WorkerTally {
-    let mut client = match PipelinedClient::connect(&cfg.addr) {
-        Ok(c) => c,
-        Err(_) => {
-            let mut tally = WorkerTally::default();
-            tally.errors += 1;
-            return tally;
-        }
-    };
-    client.set_deadline_ms(cfg.deadline_ms);
-    let rng =
-        SmallRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1));
-    let mut w = PipelinedWorker {
-        cfg,
-        client,
-        rng,
-        table: ZipfTable::new(cfg.zipf_theta),
-        pending: HashMap::new(),
-        inflight_gets: HashMap::new(),
-        tally: WorkerTally::default(),
-        seq,
-    };
-
-    // Prefill serially (depth 1) so the zipf table is warm before the
-    // window opens.
-    for _ in 0..cfg.prefill {
-        let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
-        let len = if cfg.payload_max > cfg.payload_min {
-            w.rng.gen_range(cfg.payload_min..=cfg.payload_max)
-        } else {
-            cfg.payload_min.max(1)
-        };
-        let obj_seed = w.rng.next_u64();
-        let name = format!("load-{}", seq.fetch_add(1, Ordering::Relaxed));
-        let kind = PendingKind::Put { name, obj_seed, len: len.max(1) };
-        if !w.submit_kind(kind, tid, Instant::now()) {
-            return w.tally;
-        }
-        while !w.pending.is_empty() {
-            if !w.recv_one() {
-                return w.tally;
-            }
-        }
-    }
-
-    let depth = cfg.pipeline_depth.max(1);
-    let interval = per_worker_interval(cfg);
-    let open_start = Instant::now();
-    let mut issued: u64 = 0;
-    loop {
-        let now = Instant::now();
-        if now >= stop_at {
-            break;
-        }
-        let limit_hit = cfg.op_limit > 0 && issued >= cfg.op_limit;
-        if !limit_hit && w.pending.len() < depth {
-            let sched = match interval {
-                Some(iv) => {
-                    let due =
-                        open_start + Duration::from_secs_f64(issued as f64 * iv.as_secs_f64());
-                    if due >= stop_at {
-                        break;
-                    }
-                    if due > now {
-                        // Sleep in short slices so the stop clock stays
-                        // responsive at low rates; completions buffer in
-                        // the socket meanwhile and settle instantly.
-                        thread::sleep((due - now).min(Duration::from_millis(5)));
-                        continue;
-                    }
-                    due
-                }
-                None => now,
-            };
-            issued += 1;
-            let tid = (cfg.trace_sample > 0).then(|| w.rng.next_u64());
-            let kind = w.pick_kind();
-            if !w.submit_kind(kind, tid, sched) {
-                return w.tally;
-            }
-            continue;
-        }
-        if w.pending.is_empty() {
-            if limit_hit {
-                break;
-            }
-            continue;
-        }
-        if !w.recv_one() {
-            return w.tally;
-        }
-    }
-    // Settle whatever is still in flight — those were real arrivals.
-    while !w.pending.is_empty() {
-        if !w.recv_one() {
-            break;
-        }
-    }
-    w.tally
-}
-
-/// Multiplexed open-loop driver: thousands of connections, one thread.
-///
-/// The connection-count scaling bench needs 10,000+ concurrent
-/// connections against a server sharing the same machine. Driving those
-/// with one thread each would measure the *driver's* scheduler, not the
-/// server; instead [`run_mux`] multiplexes every connection over the
-/// same readiness reactor the server itself uses — nonblocking sockets,
-/// per-connection frame reassembly, correlation-id matching — and paces
-/// arrivals on a fixed open-loop schedule. Latency is measured from each
-/// operation's *scheduled* arrival, so a server that falls behind at
-/// high connection counts shows the backlog in p99 rather than silently
-/// slowing the offered load.
-#[cfg(unix)]
-pub mod mux {
-    use super::payload_for;
-    use crate::client::Client;
-    use crate::error::ClientError;
-    use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
-    use crate::reactor::{Event, Interest, Poller};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    use std::io::{ErrorKind, Read, Write};
-    use std::net::TcpStream;
-    use std::time::{Duration, Instant};
-    use tornado_obs::Histogram;
-
-    /// Tunables for one [`run_mux`] run.
-    #[derive(Clone, Debug)]
-    pub struct MuxConfig {
-        /// Server address.
-        pub addr: String,
-        /// Concurrent connections, all multiplexed on one driver thread.
-        pub connections: usize,
-        /// Measured window, milliseconds (arrivals stop at the window
-        /// edge; stragglers get a bounded drain).
-        pub duration_ms: u64,
-        /// Aggregate open-loop arrival rate, operations per second,
-        /// spread round-robin across all connections.
-        pub rate_ops_per_sec: f64,
-        /// Seed for object choice and verification sampling.
-        pub seed: u64,
-        /// Objects PUT up front (serially) that the GET stream reads.
-        pub prefill: usize,
-        /// Payload length of each prefilled object, bytes.
-        pub payload_len: usize,
-        /// Deadline stamped on every request (0 = none).
-        pub deadline_ms: u32,
-        /// In-flight cap per connection; arrivals that find every
-        /// connection at its cap are shed (counted, not sent).
-        pub max_inflight_per_conn: usize,
-        /// Verify payload bytes on 1-in-N GETs (0 = never) — full
-        /// verification at 10k connections would bottleneck the driver.
-        pub verify_sample: u64,
-    }
-
-    impl Default for MuxConfig {
-        fn default() -> Self {
-            Self {
-                addr: "127.0.0.1:7401".into(),
-                connections: 256,
-                duration_ms: 2_000,
-                rate_ops_per_sec: 1_000.0,
-                seed: 1,
-                prefill: 16,
-                payload_len: 4 << 10,
-                deadline_ms: 0,
-                max_inflight_per_conn: 32,
-                verify_sample: 64,
-            }
-        }
-    }
-
-    /// Aggregated result of one [`run_mux`] run.
-    #[derive(Debug)]
-    pub struct MuxReport {
-        /// Connections requested.
-        pub connections: usize,
-        /// Connections actually established.
-        pub connected: usize,
-        /// Wall-clock from first arrival to last settled completion, ms.
-        pub elapsed_ms: u64,
-        /// Successfully completed operations.
-        pub ops: u64,
-        /// BUSY answers (open loop does not retry — shed at the server).
-        pub busy: u64,
-        /// Arrivals dropped because every connection was at its
-        /// in-flight cap (shed at the driver).
-        pub shed: u64,
-        /// Transport or server errors (includes completions lost to a
-        /// dead connection).
-        pub errors: u64,
-        /// Verified GETs whose bytes did not match — must stay zero.
-        pub payload_mismatches: u64,
-        /// Requests submitted onto the wire.
-        pub submitted: u64,
-        /// Still unanswered when the drain deadline expired.
-        pub unanswered: u64,
-        /// The configured arrival rate, ops/s.
-        pub target_rate: f64,
-        /// Completed ops per second over the elapsed window.
-        pub achieved_rate: f64,
-        /// Latency from scheduled arrival to settled completion, µs.
-        pub latency_us: Histogram,
-    }
-
-    impl MuxReport {
-        /// Median latency in microseconds.
-        pub fn p50_us(&self) -> u64 {
-            self.latency_us.percentile(0.5).unwrap_or(0)
-        }
-
-        /// 99th-percentile latency in microseconds.
-        pub fn p99_us(&self) -> u64 {
-            self.latency_us.percentile(0.99).unwrap_or(0)
-        }
-    }
-
-    /// One request on the wire, awaiting its completion.
-    struct MuxPending {
-        corr: u32,
-        /// Scheduled arrival — the latency origin.
-        sched: Instant,
-        obj_seed: u64,
-        len: usize,
-        verify: bool,
-    }
-
-    /// One multiplexed connection's state.
-    struct MuxConn {
-        stream: TcpStream,
-        inbuf: FrameBuffer,
-        out: Vec<u8>,
-        out_pos: usize,
-        pending: Vec<MuxPending>,
-        next_corr: u32,
-        write_interest: bool,
-        dead: bool,
-    }
-
-    /// How long past the arrival window stragglers may settle.
-    const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-    /// Runs the multiplexed open-loop GET stream and returns the report.
-    ///
-    /// Fails fast if the server is unreachable or prefill fails; errors
-    /// on individual connections during the run are counted, not fatal.
-    pub fn run_mux(cfg: &MuxConfig) -> Result<MuxReport, ClientError> {
-        // Prefill over an ordinary serial connection.
-        let mut admin = Client::connect(&cfg.addr)?;
-        admin.ping()?;
-        let mut objects = Vec::with_capacity(cfg.prefill.max(1));
-        for i in 0..cfg.prefill.max(1) {
-            let obj_seed = cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let len = cfg.payload_len.max(1);
-            let payload = payload_for(obj_seed, len);
-            let id = admin.put(&format!("mux-{}-{i}", cfg.seed), &payload)?;
-            objects.push((id, obj_seed, len));
-        }
-
-        // File descriptors: connections + listener-side headroom.
-        let _ = crate::reactor::raise_nofile_limit(cfg.connections as u64 + 128);
-        let poller = Poller::new().map_err(ClientError::Io)?;
-        let mut conns: Vec<MuxConn> = Vec::with_capacity(cfg.connections);
-        let mut connect_errors = 0u64;
-        for i in 0..cfg.connections.max(1) {
-            // Blocking connect gives natural backpressure against the
-            // server's accept queue; nonblocking takes over after.
-            match TcpStream::connect(&cfg.addr) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    s.set_nonblocking(true).map_err(ClientError::Io)?;
-                    poller.register(&s, conns.len() as u64, Interest::READ).map_err(ClientError::Io)?;
-                    conns.push(MuxConn {
-                        stream: s,
-                        inbuf: FrameBuffer::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        pending: Vec::new(),
-                        next_corr: (i as u32) << 16,
-                        write_interest: false,
-                        dead: false,
-                    });
-                }
-                Err(_) => connect_errors += 1,
-            }
-        }
-        if conns.is_empty() {
-            return Err(ClientError::Unexpected("no mux connections established".into()));
-        }
-
-        let mut report = MuxReport {
-            connections: cfg.connections,
-            connected: conns.len(),
-            elapsed_ms: 0,
-            ops: 0,
-            busy: 0,
-            shed: 0,
-            errors: connect_errors,
-            payload_mismatches: 0,
-            submitted: 0,
-            unanswered: 0,
-            target_rate: cfg.rate_ops_per_sec,
-            achieved_rate: 0.0,
-            latency_us: Histogram::new(),
-        };
-
-        let rate = cfg.rate_ops_per_sec.max(1.0);
-        let interval_s = 1.0 / rate;
-        let start = Instant::now();
-        let stop_at = start + Duration::from_millis(cfg.duration_ms);
-        let drain_by = stop_at + DRAIN_GRACE;
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut arrivals = 0u64;
-        let mut rr = 0usize;
-        let mut events: Vec<Event> = Vec::new();
-        let mut scratch = vec![0u8; 16 << 10];
-
-        loop {
-            let now = Instant::now();
-
-            // Emit every arrival that is due, round-robin over
-            // connections with window capacity.
-            if now < stop_at {
-                loop {
-                    let due = start + Duration::from_secs_f64(arrivals as f64 * interval_s);
-                    if due > now {
-                        break;
-                    }
-                    arrivals += 1;
-                    let n = conns.len();
-                    let slot = (0..n).map(|k| (rr + k) % n).find(|&c| {
-                        !conns[c].dead && conns[c].pending.len() < cfg.max_inflight_per_conn.max(1)
-                    });
-                    rr = rr.wrapping_add(1);
-                    match slot {
-                        Some(c) => {
-                            let (id, obj_seed, len) = objects[rng.gen_range(0..objects.len())];
-                            let verify =
-                                cfg.verify_sample > 0 && rng.gen_range(0..cfg.verify_sample) == 0;
-                            submit_get(&mut conns[c], cfg, id, obj_seed, len, verify, due);
-                            report.submitted += 1;
-                            flush_conn(&poller, &mut conns[c], c as u64, &mut report);
-                        }
-                        None => report.shed += 1,
-                    }
-                }
-            }
-
-            let outstanding: usize = conns.iter().map(|c| c.pending.len()).sum();
-            if (now >= stop_at && outstanding == 0) || now >= drain_by {
-                report.unanswered = outstanding as u64;
-                break;
-            }
-
-            // Sleep until the next arrival is due (capped so the stop
-            // and drain clocks stay responsive).
-            let next_due = start + Duration::from_secs_f64(arrivals as f64 * interval_s);
-            let timeout = if now < stop_at {
-                next_due.saturating_duration_since(now).min(Duration::from_millis(10))
-            } else {
-                Duration::from_millis(10)
-            };
-            poller.wait(&mut events, Some(timeout)).map_err(ClientError::Io)?;
-            for ev in events.drain(..) {
-                let c = ev.token as usize;
-                if c >= conns.len() || conns[c].dead {
-                    continue;
-                }
-                if ev.readable {
-                    read_conn(&poller, &mut conns[c], cfg, &mut scratch, &mut report);
-                }
-                if ev.writable && !conns[c].dead {
-                    flush_conn(&poller, &mut conns[c], c as u64, &mut report);
-                }
-            }
-        }
-
-        let elapsed_ms = (start.elapsed().as_millis() as u64).max(1);
-        report.elapsed_ms = elapsed_ms;
-        report.achieved_rate = report.ops as f64 * 1000.0 / elapsed_ms as f64;
-        Ok(report)
-    }
-
-    /// Frames one correlated GET into the connection's output buffer.
-    fn submit_get(
-        conn: &mut MuxConn,
-        cfg: &MuxConfig,
-        id: u64,
-        obj_seed: u64,
-        len: usize,
-        verify: bool,
-        sched: Instant,
-    ) {
-        let corr = conn.next_corr;
-        conn.next_corr = conn.next_corr.wrapping_add(1);
-        let req = Request {
-            deadline_ms: cfg.deadline_ms,
-            corr_id: Some(corr),
-            trace_id: None,
-            op: Op::Get { id },
-        };
-        append_frame(&mut conn.out, &req.encode());
-        conn.pending.push(MuxPending { corr, sched, obj_seed, len, verify });
-    }
-
-    /// Writes as much buffered output as the socket accepts, tracking
-    /// write interest across WouldBlock.
-    fn flush_conn(poller: &Poller, conn: &mut MuxConn, token: u64, report: &mut MuxReport) {
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-                Ok(n) => conn.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if !conn.write_interest {
-                        conn.write_interest = true;
-                        let _ = poller.reregister(&conn.stream, token, Interest::READ_WRITE);
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-            }
-        }
-        conn.out.clear();
-        conn.out_pos = 0;
-        if conn.write_interest {
-            conn.write_interest = false;
-            let _ = poller.reregister(&conn.stream, token, Interest::READ);
-        }
-    }
-
-    /// Drains readable bytes and settles every completed frame.
-    fn read_conn(
-        poller: &Poller,
-        conn: &mut MuxConn,
-        cfg: &MuxConfig,
-        scratch: &mut [u8],
-        report: &mut MuxReport,
-    ) {
-        loop {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-                Ok(n) => conn.inbuf.extend(&scratch[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-            }
-        }
-        loop {
-            match conn.inbuf.next_frame() {
-                Ok(Some(body)) => settle(conn, cfg, &body, report),
-                Ok(None) => break,
-                Err(_) => {
-                    kill_conn(poller, conn, report);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Matches one response frame to its pending request and records it.
-    fn settle(conn: &mut MuxConn, _cfg: &MuxConfig, body: &[u8], report: &mut MuxReport) {
-        let (corr, resp) = match Response::decode_corr(body) {
-            Ok(pair) => pair,
-            Err(_) => {
-                report.errors += 1;
-                return;
-            }
-        };
-        let Some(corr) = corr else {
-            report.errors += 1;
-            return;
-        };
-        let Some(i) = conn.pending.iter().position(|p| p.corr == corr) else {
-            report.errors += 1;
-            return;
-        };
-        let p = conn.pending.swap_remove(i);
-        let latency_us = p.sched.elapsed().as_micros() as u64;
-        match resp {
-            Response::GetOk { payload } => {
-                report.ops += 1;
-                report.latency_us.record(latency_us);
-                if p.verify && payload != payload_for(p.obj_seed, p.len) {
-                    report.payload_mismatches += 1;
-                }
-            }
-            Response::Busy => report.busy += 1,
-            _ => report.errors += 1,
-        }
-    }
-
-    /// Tears a connection down; its in-flight requests become errors.
-    fn kill_conn(poller: &Poller, conn: &mut MuxConn, report: &mut MuxReport) {
-        if conn.dead {
-            return;
-        }
-        conn.dead = true;
-        let _ = poller.deregister(&conn.stream);
-        report.errors += conn.pending.len() as u64;
-        conn.pending.clear();
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn payloads_are_deterministic_per_seed() {
         assert_eq!(payload_for(42, 1000), payload_for(42, 1000));
         assert_ne!(payload_for(42, 1000), payload_for(43, 1000));
         assert_eq!(payload_for(7, 13).len(), 13);
+        assert!(payload_matches(42, 1000, &payload_for(42, 1000)));
+        assert!(payload_matches(7, 13, &payload_for(7, 13)));
+        assert!(!payload_matches(42, 999, &payload_for(42, 1000)));
+        let mut flipped = payload_for(42, 1000);
+        flipped[517] ^= 1;
+        assert!(!payload_matches(42, 1000, &flipped));
+    }
+
+    /// A picker holding `n` objects with ids `0..n`.
+    fn picker_with(n: u64, mix: OpMix, theta: f64) -> OpPicker {
+        let mut p = OpPicker::new(&LoadConfig { mix, zipf_theta: theta, ..LoadConfig::default() });
+        for i in 0..n {
+            p.push(ObjEntry { id: i, seed: i, len: 1 });
+        }
+        p
     }
 
     #[test]
     fn zipf_prefers_early_ranks() {
-        let mut t = ZipfTable::new(0.99);
-        for i in 0..50 {
-            t.push(ObjEntry { id: i, seed: i, len: 1 });
-        }
+        let t = picker_with(50, OpMix::default(), 0.99);
         let mut rng = SmallRng::seed_from_u64(9);
         let mut hits = [0u32; 50];
         for _ in 0..20_000 {
@@ -1379,19 +987,31 @@ mod tests {
 
     #[test]
     fn zipf_remove_keeps_sampling_valid() {
-        let mut t = ZipfTable::new(1.0);
-        for i in 0..10 {
-            t.push(ObjEntry { id: i, seed: i, len: 1 });
-        }
-        let removed = t.remove(3);
-        assert_eq!(removed.id, 3);
-        assert_eq!(t.len(), 9);
+        let mut t = picker_with(10, OpMix::default(), 1.0);
+        t.remove(3);
+        assert_eq!(t.entries.len(), 9);
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..1000 {
             let i = t.sample(&mut rng);
             assert!(i < 9);
             assert_ne!(t.entries[i].id, 3);
         }
+    }
+
+    #[test]
+    fn delete_of_an_object_being_read_becomes_a_get() {
+        let mut t = picker_with(1, OpMix { put: 0, get: 0, delete: 1 }, 0.99);
+        let mut rng = SmallRng::seed_from_u64(3);
+        t.reading.insert(0, 1);
+        assert!(matches!(t.pick(&mut rng), MixOp::Get { id: 0, .. }), "pinned object is read");
+        assert_eq!(t.reading[&0], 2);
+        let get = MixOp::Get { id: 0, obj_seed: 0, len: 1 };
+        t.finish(&get, None);
+        t.finish(&get, None);
+        assert!(t.reading.is_empty());
+        assert!(matches!(t.pick(&mut rng), MixOp::Delete { id: 0 }), "unpinned object is deleted");
+        assert!(t.entries.is_empty());
+        assert!(matches!(t.pick(&mut rng), MixOp::Put { .. }), "an empty table puts");
     }
 
     #[test]
@@ -1415,111 +1035,168 @@ mod tests {
         assert_eq!(kept, vec![300, 600, 700, 800, 900]);
     }
 
+    #[test]
+    fn report_keeps_only_server_sampled_trace_ids() {
+        let mut report = LoadReport::default();
+        let mut expected = Vec::new();
+        for id in 0..400u64 {
+            report.complete(4, Some(id), "get", id);
+            if tornado_obs::trace::sampled(id, 4) {
+                expected.push(id);
+            }
+        }
+        assert_eq!(report.sampled_trace_ids, expected);
+        assert!(!expected.is_empty(), "1-in-4 sampling over 400 ids keeps some");
+        assert!(report.slowest.iter().all(|e| tornado_obs::trace::sampled(e.trace_id, 4)));
+    }
+
+    /// What the stub server has seen: requests served on the driver's
+    /// other connections, sampled at every BUSY it answered.
+    #[derive(Default)]
+    struct StubLog {
+        served_elsewhere: u64,
+        at_busy: Vec<u64>,
+    }
+
     /// A protocol-speaking stub server: every connection gets a thread
     /// (test scale only) that answers each request immediately, echoing
-    /// correlation ids. PUTs get `PutOk`, GETs a fixed fake payload.
-    fn spawn_stub_server() -> std::net::SocketAddr {
-        use crate::protocol::{read_frame, write_frame, FrameRead, Request};
+    /// correlation ids, over an in-memory object map (so GETs verify).
+    /// The second connection accepted — the driver's first, after the
+    /// admin connection — answers its first `busy_first` requests BUSY.
+    fn spawn_stub_server(busy_first: u32) -> (std::net::SocketAddr, Arc<Mutex<StubLog>>) {
+        use crate::protocol::{read_frame, write_frame, FrameRead};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind stub");
         let addr = listener.local_addr().expect("stub addr");
+        let log = Arc::new(Mutex::new(StubLog::default()));
+        let objects = Arc::new(Mutex::new(HashMap::<u64, Vec<u8>>::new()));
+        let stub_log = Arc::clone(&log);
         thread::spawn(move || {
-            for stream in listener.incoming() {
+            for (index, stream) in listener.incoming().enumerate() {
                 let Ok(mut s) = stream else { break };
+                let _ = s.set_nodelay(true);
+                let (log, objects) = (Arc::clone(&stub_log), Arc::clone(&objects));
+                let mut busy_left = if index == 1 { busy_first } else { 0 };
                 thread::spawn(move || loop {
-                    match read_frame(&mut s) {
-                        Ok(FrameRead::Frame(body)) => {
-                            let Ok(req) = Request::decode(&body) else { return };
-                            let resp = match req.op {
-                                Op::Put { .. } => Response::PutOk { id: 7 },
-                                Op::Get { .. } => Response::GetOk { payload: vec![1, 2, 3] },
-                                Op::Metrics => Response::MetricsOk { json: "{}".into() },
-                                _ => Response::Ok,
-                            };
-                            if write_frame(&mut s, &resp.encode_corr(req.corr_id)).is_err() {
-                                return;
-                            }
+                    let Ok(FrameRead::Frame(body)) = read_frame(&mut s) else { return };
+                    let Ok(req) = Request::decode(&body) else { return };
+                    let resp = if busy_left > 0 {
+                        busy_left -= 1;
+                        let mut log = log.lock().unwrap();
+                        let served = log.served_elsewhere;
+                        log.at_busy.push(served);
+                        Response::Busy
+                    } else {
+                        if index > 1 {
+                            log.lock().unwrap().served_elsewhere += 1;
                         }
-                        _ => return,
+                        let mut objects = objects.lock().unwrap();
+                        match req.op {
+                            Op::Put { payload, .. } => {
+                                let id = objects.len() as u64 + 1;
+                                objects.insert(id, payload);
+                                Response::PutOk { id }
+                            }
+                            Op::Get { id } => match objects.get(&id) {
+                                Some(p) => Response::GetOk { payload: p.clone() },
+                                None => Response::NotFound { id },
+                            },
+                            Op::Metrics => Response::MetricsOk { json: "{}".into() },
+                            _ => Response::Ok,
+                        }
+                    };
+                    if write_frame(&mut s, &resp.encode_corr(req.corr_id)).is_err() {
+                        return;
                     }
                 });
             }
         });
-        addr
+        (addr, log)
     }
 
-    #[test]
-    fn per_worker_interval_splits_rate_across_connections() {
-        let cfg = LoadConfig { connections: 4, rate_ops_per_sec: 200.0, ..LoadConfig::default() };
-        let iv = per_worker_interval(&cfg).expect("open loop");
-        assert!((iv.as_secs_f64() - 0.02).abs() < 1e-9, "4 workers share 200/s: {iv:?}");
-        assert_eq!(per_worker_interval(&LoadConfig::default()), None);
-    }
-
-    #[test]
-    fn pipelined_worker_completes_its_op_limit_exactly() {
-        let addr = spawn_stub_server();
-        let cfg = LoadConfig {
+    /// A small-payload config against `addr` with tracing off.
+    fn stub_cfg(addr: std::net::SocketAddr) -> LoadConfig {
+        LoadConfig {
             addr: addr.to_string(),
-            connections: 1,
-            duration_ms: 10_000,
-            pipeline_depth: 8,
-            // PUT-only mix: the stub fakes GET payloads, which would
-            // (correctly) trip byte-for-byte verification.
-            mix: OpMix { put: 100, get: 0, delete: 0 },
             payload_min: 32,
             payload_max: 64,
-            prefill: 8,
-            op_limit: 40,
             trace_sample: 0,
             ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("load run");
-        assert_eq!(report.ops, 48, "8 prefill + 40 measured: {report:?}");
-        assert_eq!(report.puts, 48);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.payload_mismatches, 0);
+        }
     }
 
-    #[cfg(unix)]
     #[test]
-    fn mux_driver_sustains_open_loop_over_many_connections() {
-        let addr = spawn_stub_server();
-        let cfg = mux::MuxConfig {
-            addr: addr.to_string(),
+    fn pipelined_driver_completes_its_op_limit_exactly() {
+        let (addr, _) = spawn_stub_server(0);
+        let cfg = LoadConfig {
+            connections: 2,
+            duration_ms: 10_000,
+            pipeline_depth: 8,
+            prefill: 8,
+            op_limit: 40,
+            ..stub_cfg(addr)
+        };
+        let report = run_load(&cfg).expect("load run");
+        assert_eq!(report.ops, 80, "40 per connection, prefill excluded: {report:?}");
+        assert_eq!(report.puts + report.gets + report.deletes, 80);
+        assert_eq!(report.errors, 0);
+        assert_eq!(report.payload_mismatches, 0, "the stub serves back what was put");
+        assert!(report.gets > 0, "the default mix reads");
+    }
+
+    #[test]
+    fn open_loop_driver_sustains_many_connections() {
+        let (addr, _) = spawn_stub_server(0);
+        let cfg = LoadConfig {
             connections: 32,
             duration_ms: 400,
             rate_ops_per_sec: 500.0,
+            pipeline_depth: 32,
             prefill: 4,
-            payload_len: 64,
-            verify_sample: 0, // stub payloads are fake by design
-            ..mux::MuxConfig::default()
+            ..stub_cfg(addr)
         };
-        let report = mux::run_mux(&cfg).expect("mux run");
+        let report = run_load(&cfg).expect("open-loop run");
         assert_eq!(report.connected, 32);
         assert_eq!(report.errors, 0, "{report:?}");
         assert_eq!(report.unanswered, 0, "drain settles everything");
         assert_eq!(report.shed, 0, "32x32 window absorbs 500/s");
+        assert_eq!(report.payload_mismatches, 0);
         assert!(report.ops >= 100, "~200 arrivals in 400ms: {}", report.ops);
         assert!(report.p99_us() > 0);
-        assert!(report.achieved_rate > 0.0);
     }
 
     #[test]
-    fn worker_tally_keeps_only_server_sampled_trace_ids() {
-        let cfg = LoadConfig { trace_sample: 4, ..LoadConfig::default() };
-        let mut tally = WorkerTally::default();
-        let mut expected = Vec::new();
-        for id in 0..400u64 {
-            tally.complete(&cfg, Some(id), "get", id);
-            if tornado_obs::trace::sampled(id, cfg.trace_sample) {
-                expected.push(id);
-            }
-        }
-        assert_eq!(tally.sampled_trace_ids, expected);
-        assert!(!expected.is_empty(), "1-in-4 sampling over 400 ids keeps some");
-        assert!(tally
-            .slowest
-            .iter()
-            .all(|e| tornado_obs::trace::sampled(e.trace_id, cfg.trace_sample)));
+    fn a_busy_connection_does_not_stall_the_others() {
+        // The driver's first connection is answered BUSY 20 times; each
+        // retry waits out its not-before delay while the reactor keeps
+        // serving the other three. A driver that slept (or spun) on the
+        // retry would let at most one request per other connection
+        // through between two BUSY answers.
+        let (addr, log) = spawn_stub_server(20);
+        let cfg = LoadConfig {
+            connections: 4,
+            duration_ms: 300,
+            mix: OpMix { put: 100, get: 0, delete: 0 },
+            prefill: 0,
+            ..stub_cfg(addr)
+        };
+        let report = run_load(&cfg).expect("load run");
+        assert_eq!(report.busy_retries, 20);
+        assert_eq!(report.errors, 0, "{report:?}");
+        assert_eq!(report.unanswered, 0);
+        let log = log.lock().unwrap();
+        assert_eq!(log.at_busy.len(), 20);
+        let widest = log.at_busy.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(
+            widest >= 12,
+            "other connections completed at most {widest} requests between two BUSY retries"
+        );
+    }
+
+    #[test]
+    fn trace_ids_are_a_function_of_seed_connection_and_index() {
+        assert_eq!(trace_id_for(7, 1, 5), trace_id_for(7, 1, 5));
+        assert_ne!(trace_id_for(7, 1, 5), trace_id_for(7, 2, 5));
+        assert_ne!(trace_id_for(7, 1, 5), trace_id_for(7, 1, 6));
+        assert_ne!(trace_id_for(7, 1, 5), trace_id_for(8, 1, 5));
     }
 }

@@ -1,7 +1,7 @@
 //! Observability for the serving layer.
 //!
-//! A [`ServerObserver`] is shared by the accept loop, every connection
-//! handler, and every engine worker. Counters and histograms are sharded
+//! A [`ServerObserver`] is shared by the acceptor, every event-loop shard,
+//! and every engine worker. Counters and histograms are sharded
 //! relaxed atomics (`tornado-obs`), so the hot request path pays a few
 //! nanoseconds per emit; the JSON-lines event sink is disabled unless the
 //! operator asks for it. The METRICS admin op and the `serve` command's
@@ -20,9 +20,9 @@ use tornado_store::{ArchivalStore, StoreObserver};
 /// At the default 500 ms interval this is one minute of history.
 pub const TIMESERIES_CAPACITY: usize = 120;
 
-/// Per-shard statistics for the event-loop serving path. One instance per
-/// shard, written only by that shard's thread (plus the engine workers'
-/// completion handoff), aggregated across shards at snapshot time.
+/// Per-shard event-loop statistics. One instance per shard, written only
+/// by that shard's thread (plus the engine workers' completion handoff),
+/// aggregated across shards at snapshot time.
 #[derive(Default)]
 pub struct LoopStats {
     /// Readiness wakeups (returns from the poller's wait).
@@ -128,9 +128,8 @@ pub struct ServerObserver {
     /// [`crate::config::HealthConfig::enabled`] is set. Engine workers
     /// answer HEALTH from it; the sampler thread drives its SLO clock.
     pub health: OnceLock<Arc<HealthModel>>,
-    /// Per-shard event-loop statistics, installed by `serve` when the
-    /// event-loop path is active. Empty (never installed) under the
-    /// thread-per-connection path; `server.loop.*` metrics still emit as
+    /// Per-shard event-loop statistics, installed by `serve`. Until then
+    /// (an observer that never served) `server.loop.*` metrics emit as
     /// zeros so dashboards never miss the keys.
     pub loop_shards: OnceLock<Vec<Arc<LoopStats>>>,
 }
@@ -294,10 +293,9 @@ impl ServerObserver {
                     "health.recomputes".into(),
                     self.health.get().map_or(0, |m| m.recomputes.get()),
                 ),
-                // Event-loop activity (zeros under thread-per-connection).
-                // connections/inflight are point-in-time gauges, not
-                // cumulative counters — `watch` shows them raw, not as
-                // rates.
+                // Event-loop activity. connections/inflight are
+                // point-in-time gauges, not cumulative counters — `watch`
+                // shows them raw, not as rates.
                 (
                     "server.loop.connections".into(),
                     self.loop_gauge_sum(|s| s.connections.get()).max(0) as u64,
@@ -352,8 +350,8 @@ impl ServerObserver {
             )
             .counter_value("pool.hit", tornado_codec::pool::metrics().hits.get())
             .counter_value("pool.miss", tornado_codec::pool::metrics().misses.get())
-            // Event-loop serving metrics: always present (zeros under the
-            // thread-per-connection path) so dashboards never miss keys.
+            // Event-loop serving metrics: always present (zeros before
+            // `serve` installs the shards) so dashboards never miss keys.
             .counter_value("server.loop.wakeups", self.loop_sum(|s| s.wakeups.get()))
             .counter_value("server.loop.events", self.loop_sum(|s| s.events.get()))
             .counter_value(

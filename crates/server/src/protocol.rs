@@ -454,19 +454,35 @@ impl Request {
 impl Response {
     /// Serializes the response body (no frame prefix).
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_corr(None)
+    }
+
+    /// Serializes the response body, echoing `corr_id` when the request
+    /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
+    /// u32 id follows it. With `corr_id: None` this is byte-identical to
+    /// [`Response::encode`], so uncorrelated clients see the old wire.
+    pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
+        let head = |buf: &mut Vec<u8>, status: u8| match corr_id {
+            None => buf.push(status),
+            Some(corr) => {
+                buf.push(status | RESP_CORR_FLAG);
+                buf.extend_from_slice(&corr.to_le_bytes());
+            }
+        };
         match self {
-            Response::Ok => buf.push(0),
+            Response::Ok => head(&mut buf, 0),
             Response::PutOk { id } => {
-                buf.push(1);
+                head(&mut buf, 1);
                 put_u64(&mut buf, *id);
             }
             Response::GetOk { payload } => {
-                buf.push(2);
+                buf.reserve(payload.len() + 5);
+                head(&mut buf, 2);
                 buf.extend_from_slice(payload);
             }
             Response::StatOk { meta } => {
-                buf.push(3);
+                head(&mut buf, 3);
                 put_u64(&mut buf, meta.id);
                 put_u64(&mut buf, meta.size);
                 put_u64(&mut buf, meta.block_len);
@@ -475,35 +491,35 @@ impl Response {
                 buf.extend_from_slice(meta.name.as_bytes());
             }
             Response::MetricsOk { json } => {
-                buf.push(4);
+                head(&mut buf, 4);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::TraceOk { json } => {
-                buf.push(5);
+                head(&mut buf, 5);
                 buf.extend_from_slice(json.as_bytes());
             }
             Response::HealthOk { json } => {
-                buf.push(6);
+                head(&mut buf, 6);
                 buf.extend_from_slice(json.as_bytes());
             }
-            Response::Busy => buf.push(16),
+            Response::Busy => head(&mut buf, 16),
             Response::NotFound { id } => {
-                buf.push(17);
+                head(&mut buf, 17);
                 put_u64(&mut buf, *id);
             }
             Response::Unrecoverable { id, lost_blocks } => {
-                buf.push(18);
+                head(&mut buf, 18);
                 put_u64(&mut buf, *id);
                 put_u32(&mut buf, *lost_blocks);
             }
             Response::BadRequest { message } => {
-                buf.push(19);
+                head(&mut buf, 19);
                 buf.extend_from_slice(message.as_bytes());
             }
-            Response::DeadlineExceeded => buf.push(20),
-            Response::ShuttingDown => buf.push(21),
+            Response::DeadlineExceeded => head(&mut buf, 20),
+            Response::ShuttingDown => head(&mut buf, 21),
             Response::ServerError { message } => {
-                buf.push(22);
+                head(&mut buf, 22);
                 buf.extend_from_slice(message.as_bytes());
             }
         }
@@ -514,6 +530,24 @@ impl Response {
     pub fn decode(body: &[u8]) -> Result<Response, WireError> {
         let mut c = Cursor::new(body);
         let status = c.u8("status")?;
+        Self::decode_fields(status, c)
+    }
+
+    /// Parses a response body that may carry an echoed correlation id.
+    /// Unflagged bodies decode exactly as [`Response::decode`] with
+    /// `None` for the id.
+    pub fn decode_corr(body: &[u8]) -> Result<(Option<u32>, Response), WireError> {
+        let mut c = Cursor::new(body);
+        let status = c.u8("status")?;
+        if status & RESP_CORR_FLAG == 0 {
+            return Ok((None, Self::decode_fields(status, c)?));
+        }
+        let corr = c.u32("corr id")?;
+        Ok((Some(corr), Self::decode_fields(status & !RESP_CORR_FLAG, c)?))
+    }
+
+    /// Parses the fields after an (unflagged) status byte.
+    fn decode_fields(status: u8, mut c: Cursor<'_>) -> Result<Response, WireError> {
         let resp = match status {
             0 => Response::Ok,
             1 => Response::PutOk { id: c.u64("id")? },
@@ -569,44 +603,6 @@ impl Response {
         c.finish(resp.kind())?;
         Ok(resp)
     }
-
-    /// Serializes the response body, echoing `corr_id` when the request
-    /// was correlated: the status byte gains [`RESP_CORR_FLAG`] and the
-    /// u32 id follows it. With `corr_id: None` this is byte-identical to
-    /// [`Response::encode`], so uncorrelated clients see the old wire.
-    pub fn encode_corr(&self, corr_id: Option<u32>) -> Vec<u8> {
-        let body = self.encode();
-        match corr_id {
-            None => body,
-            Some(corr) => {
-                let mut out = Vec::with_capacity(body.len() + 5);
-                out.push(body[0] | RESP_CORR_FLAG);
-                out.extend_from_slice(&corr.to_le_bytes());
-                out.extend_from_slice(&body[1..]);
-                out
-            }
-        }
-    }
-
-    /// Parses a response body that may carry an echoed correlation id.
-    /// Unflagged bodies decode exactly as [`Response::decode`] with
-    /// `None` for the id.
-    pub fn decode_corr(body: &[u8]) -> Result<(Option<u32>, Response), WireError> {
-        let first = *body
-            .first()
-            .ok_or_else(|| WireError("truncated status".into()))?;
-        if first & RESP_CORR_FLAG == 0 {
-            return Ok((None, Response::decode(body)?));
-        }
-        if body.len() < 5 {
-            return Err(WireError("truncated corr id".into()));
-        }
-        let corr = u32::from_le_bytes(body[1..5].try_into().unwrap());
-        let mut unflagged = Vec::with_capacity(body.len() - 4);
-        unflagged.push(first & !RESP_CORR_FLAG);
-        unflagged.extend_from_slice(&body[5..]);
-        Ok((Some(corr), Response::decode(&unflagged)?))
-    }
 }
 
 // --- frame I/O -------------------------------------------------------------
@@ -651,6 +647,18 @@ impl FrameBuffer {
     /// Unconsumed bytes currently buffered.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// True when [`FrameBuffer::next_frame`] would return without waiting
+    /// for more bytes: a whole frame is buffered, or a length prefix over
+    /// [`MAX_FRAME`] that can only be an error.
+    pub fn has_frame(&self) -> bool {
+        if self.buffered() < 4 {
+            return false;
+        }
+        let len =
+            u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        len > MAX_FRAME || self.buffered() >= 4 + len
     }
 
     /// Extracts the next complete frame body, `Ok(None)` until one is

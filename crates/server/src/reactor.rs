@@ -1,11 +1,11 @@
 //! Readiness reactor: a hand-rolled epoll wrapper over `std::os::fd`.
 //!
-//! The event-loop serving path multiplexes thousands of mostly-idle
-//! archival connections on a handful of shard threads; this module is the
-//! only place the crate touches the OS readiness API, and the only place
-//! `unsafe` is allowed (raw syscall FFI — the symbols resolve from the C
-//! runtime every Rust binary already links, honouring the workspace's
-//! zero-dependency rule).
+//! The server multiplexes thousands of mostly-idle archival connections
+//! on a handful of shard threads, and the load driver drives thousands
+//! from one thread; this module is the only place the crate touches the
+//! OS readiness API, and the only place `unsafe` is allowed (raw syscall
+//! FFI — the symbols resolve from the C runtime every Rust binary already
+//! links, honouring the workspace's zero-dependency rule).
 //!
 //! Two backends behind one [`Poller`] API:
 //!
@@ -313,9 +313,11 @@ mod sys {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+        // A peer half-close is only news to a reader: without read
+        // interest, RDHUP would re-report on every level-triggered wait.
+        let mut m = 0;
         if interest.read {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.write {
             m |= EPOLLOUT;

@@ -1,13 +1,12 @@
 //! Event-loop connection shards.
 //!
-//! The event-loop serving path replaces thread-per-connection with a
-//! small, fixed set of shards. Each shard is one thread around a
-//! [`crate::reactor::Poller`]: it owns a slab of connection states
-//! (per-connection read [`FrameBuffer`], write buffer, and in-flight
-//! bookkeeping), reassembles frames incrementally, dispatches decoded
-//! requests to the engine's worker pool, and writes completed responses
-//! back — coalescing every response queued since the last flush into one
-//! write syscall.
+//! The server serves every connection from a small, fixed set of shards.
+//! Each shard is one thread around a [`crate::reactor::Poller`]: it owns
+//! a slab of connection states (per-connection read [`FrameBuffer`],
+//! write buffer, and in-flight bookkeeping), reassembles frames
+//! incrementally, dispatches decoded requests to the engine's worker
+//! pool, and writes completed responses back — coalescing every response
+//! queued since the last flush into one write syscall.
 //!
 //! Invariants the shard maintains:
 //!
@@ -17,7 +16,7 @@
 //! * **Legacy ordering.** A request without a correlation id (an
 //!   old-header, one-at-a-time client) holds further frame extraction on
 //!   its connection until it is answered, so responses stay in request
-//!   order on the wire — byte-identical behavior to the threaded path.
+//!   order on the wire — the v1 one-at-a-time discipline.
 //! * **Pipelining.** Correlated requests run concurrently up to
 //!   `max_inflight_per_conn`; completions arrive out of order and are
 //!   matched back by slot, generation, and correlation id. Stale
@@ -26,9 +25,17 @@
 //! * **Nonblocking backpressure.** A full engine queue answers BUSY
 //!   inline (`server.queue.busy`); the loop never blocks on dispatch, so
 //!   a saturated queue cannot stall readiness processing.
+//! * **Bounded buffering.** A connection reads only until one complete
+//!   frame is buffered. While a complete frame is held back (serial hold,
+//!   in-flight cap, or more than [`OUT_HIGH_WATER`] bytes of unflushed
+//!   output) the shard drops READ interest, so further requests wait in
+//!   the kernel's socket buffer and a client that pipelines without
+//!   reading its responses cannot grow server memory without limit.
 //! * **Level-triggered liveness.** When a completion frees pipeline
-//!   capacity, frame extraction re-runs immediately — buffered bytes are
-//!   never stranded waiting for a readiness edge that will not come.
+//!   capacity, or a flush drains the output below the high-water mark,
+//!   frame extraction re-runs immediately and READ interest comes back —
+//!   buffered bytes are never stranded waiting for a readiness edge that
+//!   will not come.
 //! * **Drain ordering.** On shutdown a shard stops dispatching, answers
 //!   already-buffered frames SHUTTING_DOWN, finishes in-flight requests,
 //!   flushes every write buffer, then closes — with a force-close
@@ -38,7 +45,6 @@ use crate::engine::{Job, JobTrace, Reply};
 use crate::obs::{LoopStats, ServerObserver};
 use crate::protocol::{append_frame, FrameBuffer, Op, Request, Response};
 use crate::reactor::{Interest, Poller, Waker};
-use crate::server::emit_slow_request;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -53,6 +59,11 @@ const WAKER_TOKEN: u64 = u64::MAX;
 
 /// Read scratch size per readiness event.
 const READ_CHUNK: usize = 16 << 10;
+
+/// Unflushed response bytes past which a connection stops extracting
+/// frames until its peer reads. In-flight requests still complete, so the
+/// output buffer peaks at this plus `max_inflight_per_conn` responses.
+const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// How long a draining shard waits for in-flight requests and write
 /// buffers before force-closing connections.
@@ -167,8 +178,8 @@ struct Conn {
     /// An uncorrelated (one-at-a-time) request is in flight: extraction
     /// holds until it is answered so legacy responses stay ordered.
     serial_hold: bool,
-    /// The poller currently watches this fd for writability.
-    write_interest: bool,
+    /// The interest the poller currently holds for this fd.
+    interest: Interest,
     /// Read side is finished (EOF or fatal error); tear down once
     /// in-flight requests drain and the write buffer flushes.
     peer_gone: bool,
@@ -187,7 +198,7 @@ impl Conn {
             out_frames: 0,
             pending: Vec::new(),
             serial_hold: false,
-            write_interest: false,
+            interest: Interest::READ,
             peer_gone: false,
             close_after_flush: false,
         }
@@ -200,11 +211,25 @@ impl Conn {
     fn has_output(&self) -> bool {
         self.out_pos < self.out.len()
     }
+
+    /// Too much unflushed output to take on more requests.
+    fn out_backlogged(&self) -> bool {
+        self.out.len() - self.out_pos > OUT_HIGH_WATER
+    }
+
+    /// The interest this connection needs: READ unless the read side is
+    /// finished or a complete frame is already waiting to be extracted;
+    /// WRITE while output is pending.
+    fn wanted_interest(&self) -> Interest {
+        let reading = !self.peer_gone && !self.close_after_flush && !self.inbuf.has_frame();
+        Interest { read: reading, write: self.has_output() }
+    }
 }
 
-/// Trace ids assigned to requests whose client sent none. Offset from the
-/// threaded path's counter so ids stay unique across serving paths.
-pub(crate) static SHARD_TRACE_SEQ: AtomicU64 = AtomicU64::new(1 << 48);
+/// Trace ids assigned to requests whose client sent none. A plain counter
+/// is enough: the sampling decision mixes the id, so sequential ids still
+/// sample uniformly.
+static TRACE_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Runs one shard's event loop until shutdown completes. This is the
 /// shard thread's entire body.
@@ -267,16 +292,24 @@ impl<D: Dispatcher> ShardState<D> {
                 }
                 if ev.writable {
                     self.flush(slot);
+                    self.resume(slot, &mut dirty);
                 }
             }
 
             self.adopt_new();
             self.process_completions(&mut dirty);
 
-            dirty.sort_unstable();
-            dirty.dedup();
-            for slot in dirty {
-                self.flush(slot);
+            // Flushing can drain a backlogged connection, whose resumed
+            // extraction may queue more output (inline rejections), so
+            // repeat until nothing new is dirty.
+            while !dirty.is_empty() {
+                let mut batch = std::mem::take(&mut dirty);
+                batch.sort_unstable();
+                batch.dedup();
+                for slot in batch {
+                    self.flush(slot);
+                    self.resume(slot, &mut dirty);
+                }
             }
 
             if self.ctx.shutdown.load(Ordering::SeqCst) && self.drain() {
@@ -355,8 +388,12 @@ impl<D: Dispatcher> ShardState<D> {
             .set(self.ctx.active.load(Ordering::SeqCst));
     }
 
-    /// Reads until `WouldBlock` (level-triggered: drain the socket fully),
+    /// Reads until `WouldBlock` or until a complete frame is buffered,
     /// then extracts as many complete frames as pipelining rules allow.
+    /// Frames the rules hold back stay in the kernel's socket buffer: READ
+    /// interest is dropped until extraction resumes. (A readable event
+    /// while READ interest is off is a hang-up or error; the one read it
+    /// triggers notices that.)
     fn handle_readable(&mut self, slot: usize, dirty: &mut Vec<usize>) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
@@ -371,7 +408,12 @@ impl<D: Dispatcher> ShardState<D> {
                     conn.peer_gone = true;
                     break;
                 }
-                Ok(n) => conn.inbuf.extend(&scratch[..n]),
+                Ok(n) => {
+                    conn.inbuf.extend(&scratch[..n]);
+                    if conn.inbuf.has_frame() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -381,7 +423,34 @@ impl<D: Dispatcher> ShardState<D> {
             }
         }
         self.extract_frames(slot, dirty);
+        self.update_interest(slot);
         self.maybe_teardown(slot);
+    }
+
+    /// Restarts extraction on a connection whose held-back frames may now
+    /// be admissible (after a flush drained its output), and restores its
+    /// READ interest once nothing is held.
+    fn resume(&mut self, slot: usize, dirty: &mut Vec<usize>) {
+        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+            return;
+        };
+        if conn.inbuf.has_frame() {
+            self.extract_frames(slot, dirty);
+        }
+        self.update_interest(slot);
+        self.maybe_teardown(slot);
+    }
+
+    /// Re-registers the connection when the interest it needs changed.
+    fn update_interest(&mut self, slot: usize) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        let want = conn.wanted_interest();
+        if want != conn.interest {
+            conn.interest = want;
+            let _ = self.poller.reregister(&conn.stream, slot as u64, want);
+        }
     }
 
     /// Pulls complete frames out of the connection's read buffer and
@@ -403,6 +472,9 @@ impl<D: Dispatcher> ShardState<D> {
                 if conn.inflight() >= self.ctx.max_inflight_per_conn {
                     return;
                 }
+                if conn.out_backlogged() {
+                    return;
+                }
             }
             let body = match conn.inbuf.next_frame() {
                 Ok(Some(body)) => body,
@@ -422,7 +494,7 @@ impl<D: Dispatcher> ShardState<D> {
                 Err(e) => {
                     self.ctx.obs.bad_requests.inc();
                     // No correlation id survives a failed decode; answer
-                    // unflagged, exactly like the threaded path.
+                    // unflagged.
                     let resp = Response::BadRequest { message: e.to_string() };
                     self.queue_response(slot, None, &resp, dirty);
                     continue;
@@ -446,13 +518,15 @@ impl<D: Dispatcher> ShardState<D> {
                 continue;
             }
 
-            // Trace bookkeeping mirrors the threaded handler: client id if
-            // present, server-assigned otherwise; sampling is a pure
-            // function of the id; TRACE_EXPORT is never traced.
+            // Trace context: the client's id if it sent one (so its spans
+            // and ours share a trace), a server-assigned id otherwise.
+            // Sampling is a pure function of the id. TRACE_EXPORT itself
+            // is never traced: it snapshots the ring mid-request, so its
+            // own half-built tree would pollute every export with orphans.
             let obs = Arc::clone(&self.ctx.obs);
             let trace_id = request
                 .trace_id
-                .unwrap_or_else(|| SHARD_TRACE_SEQ.fetch_add(1, Ordering::Relaxed));
+                .unwrap_or_else(|| TRACE_SEQ.fetch_add(1, Ordering::Relaxed));
             let traceable = !matches!(request.op, Op::TraceExport);
             let trace =
                 (traceable && obs.tracer.is_enabled() && obs.tracer.sampled(trace_id)).then(|| {
@@ -557,13 +631,13 @@ impl<D: Dispatcher> ShardState<D> {
         }
         while let Some(slot) = freed.pop_front() {
             self.extract_frames(slot, dirty);
+            self.update_interest(slot);
             self.maybe_teardown(slot);
         }
     }
 
-    /// Queues the response bytes, records the root span, and emits the
-    /// slow-request event — everything the threaded path does after
-    /// `reply()`.
+    /// Queues the response bytes, records the root span (last, so its
+    /// window encloses every child), and emits the slow-request event.
     fn finish_request(
         &mut self,
         slot: usize,
@@ -624,10 +698,8 @@ impl<D: Dispatcher> ShardState<D> {
     /// write-batching win: every frame queued since the last drain shares
     /// it). Short writes keep the remainder and register write interest.
     fn flush(&mut self, slot: usize) {
-        // Split borrows: the connection slab, the poller, and the stats
-        // are all touched while the connection is held mutably.
-        let Self { poller, ctx, conns, .. } = self;
-        let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
+        let stats = &self.ctx.stats;
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
         if conn.has_output() {
@@ -641,7 +713,7 @@ impl<D: Dispatcher> ShardState<D> {
                         break;
                     }
                     Ok(n) => {
-                        ctx.stats.write_flushes.inc();
+                        stats.write_flushes.inc();
                         conn.out_pos += n;
                         if conn.out_pos == conn.out.len() {
                             wrote_all = true;
@@ -663,20 +735,14 @@ impl<D: Dispatcher> ShardState<D> {
                 conn.out_frames = 0;
             } else if wrote_all {
                 if frames >= 2 {
-                    ctx.stats.batched_writes.inc();
+                    stats.batched_writes.inc();
                 }
                 conn.out.clear();
                 conn.out_pos = 0;
                 conn.out_frames = 0;
-                if conn.write_interest {
-                    conn.write_interest = false;
-                    let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ);
-                }
-            } else if !conn.write_interest {
-                conn.write_interest = true;
-                let _ = poller.reregister(&conn.stream, slot as u64, Interest::READ_WRITE);
             }
         }
+        self.update_interest(slot);
         self.maybe_teardown(slot);
     }
 
@@ -706,6 +772,47 @@ impl<D: Dispatcher> ShardState<D> {
     }
 }
 
+/// Emits a `server.slow_request` event; when the request was sampled the
+/// event carries its full span tree (name/span/parent/start/duration), so
+/// the slow path is diagnosable straight from the event stream.
+fn emit_slow_request(
+    obs: &ServerObserver,
+    trace_id: u64,
+    op_kind: &str,
+    response: &Response,
+    total_us: u64,
+    sampled: bool,
+) {
+    let mut fields = vec![
+        ("trace_id", Json::Str(format!("{trace_id:#018x}"))),
+        ("op", Json::Str(op_kind.into())),
+        ("status", Json::Str(response.kind().into())),
+        ("total_us", Json::U64(total_us)),
+        ("sampled", Json::Bool(sampled)),
+    ];
+    if sampled {
+        let spans: Vec<Json> = obs
+            .tracer
+            .spans_for(trace_id)
+            .into_iter()
+            .map(|s| {
+                Json::Obj(vec![
+                    ("name".into(), Json::Str(s.name.into())),
+                    ("span".into(), Json::U64(s.span_id)),
+                    (
+                        "parent".into(),
+                        s.parent_id.map(Json::U64).unwrap_or(Json::Null),
+                    ),
+                    ("start_us".into(), Json::U64(s.start_us)),
+                    ("dur_us".into(), Json::U64(s.dur_us)),
+                ])
+            })
+            .collect();
+        fields.push(("spans", Json::Arr(spans)));
+    }
+    obs.events.emit("server.slow_request", &fields);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -732,6 +839,19 @@ mod tests {
                 _ => Response::Ok,
             };
             job.reply.send(response);
+            Ok(())
+        }
+    }
+
+    /// Payload size [`Large`] answers every GET with.
+    const LARGE: usize = 128 << 10;
+
+    /// Dispatcher double that answers every GET inline with [`LARGE`]
+    /// bytes.
+    struct Large;
+    impl Dispatcher for Large {
+        fn dispatch(&self, job: Job) -> Result<(), Response> {
+            job.reply.send(Response::GetOk { payload: vec![7; LARGE] });
             Ok(())
         }
     }
@@ -938,7 +1058,7 @@ mod tests {
     fn pipelined_client_against_shard_via_client_api() {
         // The library client's pipelined mode against a real shard.
         let h = Harness::start(Inline, 8);
-        let mut pc = crate::client::PipelinedClient::connect(h.addr).unwrap();
+        let mut pc = crate::client::Client::connect(h.addr).unwrap();
         let mut ids = Vec::new();
         for i in 0..6u64 {
             ids.push(pc.submit(Op::Get { id: i }).unwrap());
@@ -953,6 +1073,44 @@ mod tests {
             }
             got += 1;
         }
+        h.stop();
+    }
+
+    #[test]
+    fn unread_responses_stop_dispatch_short() {
+        // A client pipelines GETs of a large payload and never reads its
+        // responses. Once the unflushed output passes the high-water mark
+        // the shard stops extracting and leaves the rest of the requests
+        // in the socket, so its memory stays bounded instead of growing
+        // with every request sent.
+        const GETS: u32 = 256;
+        let h = Harness::start(Large, 8);
+        let mut c = h.connect();
+        for i in 0..GETS {
+            write_frame(&mut c, &req(Some(i), Op::Get { id: i as u64 })).unwrap();
+        }
+        let mut dispatched = u64::MAX;
+        loop {
+            thread::sleep(Duration::from_millis(100));
+            let now = h.stats.frames_in.get();
+            if now == dispatched {
+                break;
+            }
+            dispatched = now;
+        }
+        assert!(
+            dispatched < GETS as u64 / 2,
+            "{dispatched} of {GETS} GETs dispatched with no response read"
+        );
+        // Reading drains the output and extraction resumes: every GET is
+        // answered in full.
+        for _ in 0..GETS {
+            match read_response(&mut c) {
+                (Some(_), Response::GetOk { payload }) => assert_eq!(payload.len(), LARGE),
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(h.stats.frames_in.get(), GETS as u64);
         h.stop();
     }
 

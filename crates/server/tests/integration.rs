@@ -370,10 +370,11 @@ fn metrics_snapshot_carries_a_populated_timeseries() {
 
 #[test]
 fn sampled_trace_ids_are_identical_across_server_worker_counts() {
-    // Same load seed + op_limit against a 1-worker and a 4-worker server:
-    // the sampled trace-id set must match exactly, because sampling is a
-    // pure function of the client-generated ids, never of server timing.
-    let run = |workers: usize| {
+    // Same load seed + op_limit against a 1-worker and a 4-worker server,
+    // at pipeline depth 1 and 8: the sampled trace-id set must match
+    // exactly, because sampling is a pure function of the client-generated
+    // ids, never of server timing or the driver's window.
+    let run = |workers: usize, pipeline_depth: usize| {
         let cfg = ServerConfig {
             workers,
             queue_depth: 64,
@@ -391,6 +392,7 @@ fn sampled_trace_ids_are_identical_across_server_worker_counts() {
             prefill: 3,
             payload_min: 256,
             payload_max: 2048,
+            pipeline_depth,
             ..LoadConfig::default()
         })
         .expect("load run succeeds");
@@ -400,13 +402,18 @@ fn sampled_trace_ids_are_identical_across_server_worker_counts() {
         report
     };
 
-    let a = run(1);
-    let b = run(4);
-    assert_eq!(a.ops, b.ops, "op_limit bounds both runs identically");
-    assert!(!a.sampled_trace_ids.is_empty(), "1-in-4 sampling over 126 ops keeps some");
-    assert_eq!(a.sampled_trace_ids, b.sampled_trace_ids);
-    assert!(!a.slowest.is_empty(), "exemplars recorded");
-    assert!(a.slowest.windows(2).all(|w| w[0].latency_us >= w[1].latency_us));
+    let mut at_depth_1: Option<Vec<u64>> = None;
+    for depth in [1, 8] {
+        let a = run(1, depth);
+        let b = run(4, depth);
+        assert_eq!(a.ops, b.ops, "op_limit bounds both runs identically");
+        assert!(!a.sampled_trace_ids.is_empty(), "1-in-4 sampling over 120 ops keeps some");
+        assert_eq!(a.sampled_trace_ids, b.sampled_trace_ids);
+        assert!(!a.slowest.is_empty(), "exemplars recorded");
+        assert!(a.slowest.windows(2).all(|w| w[0].latency_us >= w[1].latency_us));
+        let first = at_depth_1.get_or_insert_with(|| a.sampled_trace_ids.clone());
+        assert_eq!(*first, a.sampled_trace_ids, "depth {depth} samples the depth-1 ids");
+    }
 }
 
 #[test]
@@ -611,8 +618,6 @@ const TOLERATED_FAILURES: [u32; 4] = [7, 29, 55, 88];
 
 #[test]
 fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
-    use tornado_server::PipelinedClient;
-
     let (handle, addr) = start_server(3, 32);
     let mut writer = Client::connect(&addr).unwrap();
 
@@ -626,7 +631,7 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
         objects.push((id, payload));
     }
 
-    let mut pipelined = PipelinedClient::connect(&addr).unwrap();
+    let mut pipelined = Client::connect(&addr).unwrap();
     let mut expected = std::collections::HashMap::new();
 
     // First wave in flight...
@@ -668,37 +673,6 @@ fn pipelined_gets_complete_byte_for_byte_under_device_failures() {
     assert_eq!(failed, TOLERATED_FAILURES.len() as u64);
 
     admin.shutdown().unwrap();
-    handle.join();
-}
-
-#[test]
-fn pipelined_client_degrades_gracefully_against_thread_per_conn_server() {
-    use tornado_server::PipelinedClient;
-
-    // The legacy serving path answers in order but echoes correlation
-    // ids, so a pipelined client still matches its completions.
-    let cfg = ServerConfig { workers: 2, queue_depth: 16, event_loop: false, ..ServerConfig::default() };
-    let (handle, addr) = start_server_with(cfg, ServerObserver::shared());
-
-    let mut legacy = Client::connect(&addr).unwrap();
-    let payload: Vec<u8> = (0..5_000u32).map(|i| (i % 241) as u8).collect();
-    let id = legacy.put("threaded/one", &payload).unwrap();
-
-    let mut pipelined = PipelinedClient::connect(&addr).unwrap();
-    let mut corrs = Vec::new();
-    for _ in 0..5 {
-        corrs.push(pipelined.submit(Op::Get { id }).unwrap());
-    }
-    for want in corrs {
-        let (corr, resp) = pipelined.recv().unwrap();
-        assert_eq!(corr, want, "serial path answers in submission order");
-        match resp {
-            Response::GetOk { payload: got } => assert_eq!(got, payload),
-            other => panic!("GET answered {:?}", other.kind()),
-        }
-    }
-
-    legacy.shutdown().unwrap();
     handle.join();
 }
 

@@ -2,7 +2,7 @@
 //! [`BlockBackend`]s.
 //!
 //! Each device stores named blocks and keeps access counters. Interior
-//! mutability (a `parking_lot::RwLock` per device) lets many readers hit
+//! mutability (a `std::sync::RwLock` per device) lets many readers hit
 //! different devices concurrently — the access pattern the guided
 //! retrieval planner optimises — while failure injection flips a device
 //! offline atomically. `Device::new` keeps the original volatile
@@ -16,7 +16,7 @@
 //! layer treats real storage trouble exactly like an erasure.
 
 use crate::backend::{BlockBackend, MemoryBackend};
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 pub use crate::backend::BlockKey;
 
@@ -123,12 +123,12 @@ impl Device {
 
     /// The backend label (`"memory"`, `"file"`, `"segment"`).
     pub fn backend_kind(&self) -> &'static str {
-        self.state.read().backend.kind()
+        self.state.read().expect("device lock").backend.kind()
     }
 
     /// Whether the device is serving requests.
     pub fn is_online(&self) -> bool {
-        self.state.read().online
+        self.state.read().expect("device lock").online
     }
 
     /// Takes the device offline, **destroying its contents** (the paper's
@@ -138,7 +138,7 @@ impl Device {
     /// incarnation scheme in [`crate::durable`] guarantees a later
     /// replacement can never resurrect the stale files.
     pub fn fail(&self) {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         s.online = false;
         if s.backend.destroy().is_err() {
             s.stats.io_errors += 1;
@@ -150,7 +150,7 @@ impl Device {
     /// `ArchivalStore::replace_device`, which installs a fresh backend
     /// at a new incarnation path instead.
     pub fn replace(&self) {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         s.online = true;
         if s.backend.destroy().is_err() {
             s.stats.io_errors += 1;
@@ -160,7 +160,7 @@ impl Device {
     /// Installs a brand-new backend (a fresh incarnation directory) and
     /// brings the device online — the durable form of [`Device::replace`].
     pub(crate) fn install_replacement(&self, backend: Box<dyn BlockBackend>) {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         s.online = true;
         s.backend = backend;
     }
@@ -171,7 +171,7 @@ impl Device {
     /// to operators instead of vanishing silently. A backend I/O error
     /// also fails the write, counted in [`DeviceStats::io_errors`].
     pub fn write_block(&self, key: BlockKey, data: Vec<u8>) -> bool {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         if !s.online {
             s.stats.failed_writes += 1;
             return false;
@@ -191,7 +191,7 @@ impl Device {
     /// Flushes the backend to stable storage (fsync). Returns `false` —
     /// and counts an I/O error — if the sync failed.
     pub fn flush(&self) -> bool {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         match s.backend.flush() {
             Ok(()) => true,
             Err(_) => {
@@ -210,7 +210,7 @@ impl Device {
     /// Reads a block attributed to `class`; `None` when offline, absent,
     /// or failing at the I/O layer.
     pub fn read_block_classed(&self, key: &BlockKey, class: ReadClass) -> Option<Vec<u8>> {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         if !s.online {
             s.stats.failed_reads += 1;
             return None;
@@ -238,7 +238,7 @@ impl Device {
         pool: &mut tornado_codec::BlockPool,
         class: ReadClass,
     ) -> Option<Vec<u8>> {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         if !s.online {
             s.stats.failed_reads += 1;
             return None;
@@ -264,7 +264,7 @@ impl Device {
     /// scratch buffer without handing bytes upward. An I/O error reads
     /// as [`BlockProbe::Missing`] (an erasure) and is counted.
     pub fn verify_block(&self, key: &BlockKey, expected: u64) -> BlockProbe {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         if !s.online {
             s.stats.failed_reads += 1;
             return BlockProbe::Missing;
@@ -288,14 +288,14 @@ impl Device {
 
     /// Whether a block exists (does not count as an access).
     pub fn has_block(&self, key: &BlockKey) -> bool {
-        let s = self.state.read();
+        let s = self.state.read().expect("device lock");
         s.online && s.backend.contains(key)
     }
 
     /// Removes a block; returns whether it existed (false also on an
     /// I/O error, which is counted).
     pub fn delete_block(&self, key: &BlockKey) -> bool {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         match s.backend.delete(key) {
             Ok(existed) => existed,
             Err(_) => {
@@ -309,18 +309,18 @@ impl Device {
     /// integrity testing): XORs `mask` into the first byte. Returns whether
     /// the block existed.
     pub fn corrupt_block(&self, key: &BlockKey, mask: u8) -> bool {
-        let mut s = self.state.write();
+        let mut s = self.state.write().expect("device lock");
         s.backend.corrupt(key, mask).unwrap_or(false)
     }
 
     /// Access counters snapshot.
     pub fn stats(&self) -> DeviceStats {
-        self.state.read().stats
+        self.state.read().expect("device lock").stats
     }
 
     /// Number of blocks held.
     pub fn block_count(&self) -> usize {
-        self.state.read().backend.block_count()
+        self.state.read().expect("device lock").backend.block_count()
     }
 }
 

@@ -34,7 +34,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use tornado_codec::kernels;
 use tornado_graph::Graph;
 
@@ -170,6 +170,7 @@ impl Durability {
     pub fn journal_append(&self, rec: &JournalRecord) -> Result<(), StoreError> {
         self.journal
             .lock()
+            .expect("journal lock")
             .append(rec, &self.crash)
             .map_err(|e| StoreError::io("journal append", &e))
     }

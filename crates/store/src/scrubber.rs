@@ -39,7 +39,7 @@ use crate::device::BlockProbe;
 use crate::obs::StoreObserver;
 use crate::retrieval::RepairCost;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use tornado_codec::{pool, Codec, DecodeMetrics};
@@ -276,13 +276,13 @@ impl Scrubber {
 
     /// Number of stripes currently marked clean (skip-tier candidates).
     pub fn clean_marks(&self) -> usize {
-        self.clean.lock().len()
+        self.clean.lock().expect("scrub mark lock").len()
     }
 
     /// Drops all clean marks: the next incremental cycle verifies
     /// everything (e.g. after out-of-band maintenance on the devices).
     pub fn forget_clean_marks(&self) {
-        self.clean.lock().clear();
+        self.clean.lock().expect("scrub mark lock").clear();
     }
 
     /// Runs one scrub cycle in `mode`. See [`scrub`] for the `repair` and
@@ -330,7 +330,7 @@ impl Scrubber {
         // next cycle observes a larger epoch.
         let epoch = store.pool_epoch();
         let marks: HashMap<ObjectId, CleanMark> = if mode == ScrubMode::Incremental {
-            self.clean.lock().clone()
+            self.clean.lock().expect("scrub mark lock").clone()
         } else {
             HashMap::new()
         };
@@ -357,7 +357,7 @@ impl Scrubber {
         // store.list() is ascending by id and the parallel map preserves
         // item order, so this fold reproduces the serial outcome exactly.
         let mut outcome = ScrubOutcome::default();
-        let mut clean = self.clean.lock();
+        let mut clean = self.clean.lock().expect("scrub mark lock");
         clean.retain(|id, _| ids.binary_search(id).is_ok());
         for r in results {
             outcome.blocks_repaired += r.repaired;

@@ -6,7 +6,7 @@ use crate::error::StoreError;
 use crate::journal::{CrashInjector, JournalRecord};
 use crate::obs::StoreObserver;
 use crate::retrieval::{plan_retrieval, RepairCost};
-use parking_lot::RwLock;
+use std::sync::RwLock;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,12 +157,12 @@ impl ArchivalStore {
     /// Attaches a [`StoreObserver`] whose device gauges are refreshed on
     /// every fail/replace transition (not just on scrub cycles).
     pub fn set_observer(&self, obs: Arc<StoreObserver>) {
-        *self.observer.write() = Some(obs);
+        *self.observer.write().expect("observer lock") = Some(obs);
     }
 
     /// Refreshes the attached observer's device gauges, if any.
     fn notify_device_health(&self) {
-        let obs = self.observer.read().clone();
+        let obs = self.observer.read().expect("observer lock").clone();
         if let Some(obs) = obs {
             obs.record_device_health(self);
         }
@@ -250,13 +250,13 @@ impl ArchivalStore {
 
     /// The stripe's current dirty generation (`0` before its first write).
     pub fn stripe_generation(&self, id: ObjectId) -> u64 {
-        self.generations.read().get(&id).copied().unwrap_or(0)
+        self.generations.read().expect("generation lock").get(&id).copied().unwrap_or(0)
     }
 
     /// Marks a stripe dirty: assigns it a fresh store-wide generation.
     fn bump_generation(&self, id: ObjectId) {
         let g = self.generation_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        self.generations.write().insert(id, g);
+        self.generations.write().expect("generation lock").insert(id, g);
     }
 
     /// Indices of currently offline devices.
@@ -331,19 +331,19 @@ impl ArchivalStore {
             d.write_sidecar(&meta)?;
             d.journal_append(&JournalRecord::PutCommit { id })?;
         }
-        self.objects.write().insert(id, meta);
+        self.objects.write().expect("catalog lock").insert(id, meta);
         self.bump_generation(id);
         Ok(id)
     }
 
     /// Object metadata, if present.
     pub fn meta(&self, id: ObjectId) -> Option<ObjectMeta> {
-        self.objects.read().get(&id).cloned()
+        self.objects.read().expect("catalog lock").get(&id).cloned()
     }
 
     /// All stored objects, ascending by id.
     pub fn list(&self) -> Vec<ObjectMeta> {
-        let mut v: Vec<ObjectMeta> = self.objects.read().values().cloned().collect();
+        let mut v: Vec<ObjectMeta> = self.objects.read().expect("catalog lock").values().cloned().collect();
         v.sort_by_key(|m| m.id);
         v
     }
@@ -507,13 +507,14 @@ impl ArchivalStore {
         let meta = self
             .objects
             .write()
+            .expect("catalog lock")
             .remove(&id)
             .ok_or(StoreError::UnknownObject { id })?;
         for node in 0..self.graph.num_nodes() as u32 {
             let dev = self.device_of_block(&meta, node);
             self.devices[dev].delete_block(&(id, node));
         }
-        self.generations.write().remove(&id);
+        self.generations.write().expect("generation lock").remove(&id);
         Ok(())
     }
 
