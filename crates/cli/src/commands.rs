@@ -285,11 +285,12 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
         let d: usize = dev.parse().map_err(|e| format!("--replace {dev}: {e}"))?;
         store.replace_device(d).map_err(|e| e.to_string())?;
     }
-    let store_obs = obs.store_observer();
+    let store_obs = std::sync::Arc::new(obs.store_observer());
+    store.set_observer(std::sync::Arc::clone(&store_obs));
     // One scrubber across all cycles: the worker pool is built once and
     // the clean marks accumulate, so later incremental cycles skip.
     let scrubber = tornado_store::Scrubber::new(threads);
-    let mut outcome = scrubber.run_observed(&store, level, repair, mode, &store_obs);
+    let mut outcome = scrubber.run(&store, level, repair, mode);
     for cycle in 1..cycles {
         println!(
             "cycle {cycle}: {} skipped / {} verified / {} decoded",
@@ -297,7 +298,7 @@ pub fn scrub(args: &ParsedArgs) -> CmdResult {
             outcome.verified_count(),
             outcome.decoded_count()
         );
-        outcome = scrubber.run_observed(&store, level, repair, mode, &store_obs);
+        outcome = scrubber.run(&store, level, repair, mode);
     }
     println!("stripes scanned:     {}", outcome.stripes.len());
     println!("  skipped (clean):   {}", outcome.skipped_count());
@@ -454,10 +455,11 @@ pub fn demo(args: &ParsedArgs) -> CmdResult {
     store.fail_device(0).map_err(|e| e.to_string())?;
     store.fail_device(7).map_err(|e| e.to_string())?;
     println!("failed devices 0 and 7");
-    let (payload, fetched) = store.get_with_stats(id).map_err(|e| e.to_string())?;
+    let (payload, stats) = store.get_detailed(id).map_err(|e| e.to_string())?;
     println!(
-        "recovered {} bytes by fetching {fetched}/{} blocks: {:?}",
+        "recovered {} bytes by fetching {}/{} blocks: {:?}",
         payload.len(),
+        stats.blocks_fetched,
         store.num_devices(),
         String::from_utf8_lossy(&payload)
     );

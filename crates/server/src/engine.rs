@@ -1,9 +1,9 @@
 //! Request execution: the worker pool behind the bounded queue.
 //!
-//! Event-loop shards decode frames and [`Engine::submit`] jobs; a fixed
+//! Event-loop shards decode frames and `Engine::submit` jobs; a fixed
 //! pool of workers pops them, enforces per-request deadlines, executes
 //! against the shared [`ArchivalStore`], and sends the [`Response`] back
-//! to the shard through the job's [`Reply`]. The queue is the only buffer between
+//! to the shard through the job's `Reply`. The queue is the only buffer between
 //! accept and execute, so a full queue is an immediate BUSY — the system
 //! sheds load instead of hiding it in growing latency.
 
@@ -387,7 +387,6 @@ fn execute(
         },
         Op::FailDevice { device } => match store.fail_device(*device as usize) {
             Ok(()) => {
-                obs.store_obs.record_device_health(store);
                 obs.events.emit("server.fail_device", &[("device", Json::U64(*device as u64))]);
                 Response::Ok
             }
@@ -395,7 +394,6 @@ fn execute(
         },
         Op::ReviveDevice { device } => match store.replace_device(*device as usize) {
             Ok(()) => {
-                obs.store_obs.record_device_health(store);
                 obs.events.emit("server.revive_device", &[("device", Json::U64(*device as u64))]);
                 Response::Ok
             }
@@ -593,6 +591,8 @@ mod tests {
     fn degraded_get_is_counted_and_correct() {
         let store = Arc::new(ArchivalStore::new(tornado_graph_1()));
         let obs = ServerObserver::shared();
+        // As `serve` does: the store refreshes the device gauges itself.
+        store.set_observer(Arc::clone(&obs.store_obs));
         let engine = Engine::start(Arc::clone(&store), Arc::clone(&obs), Instant::now(), 2, 8);
 
         let payload: Vec<u8> = (0..9000u32).map(|i| (i * 7 % 256) as u8).collect();
@@ -600,8 +600,17 @@ mod tests {
             Response::PutOk { id } => id,
             other => panic!("{other:?}"),
         };
-        for device in [2, 17, 48, 95] {
+        for (offline, device) in [2, 17, 48, 95].into_iter().enumerate() {
             assert_eq!(roundtrip(&engine, Op::FailDevice { device }), Response::Ok);
+            assert_eq!(obs.store_obs.devices_offline.get(), offline as i64 + 1);
+        }
+        match roundtrip(&engine, Op::Metrics) {
+            Response::MetricsOk { json } => {
+                let doc = tornado_obs::json::parse(&json).unwrap();
+                let gauges = doc.get("gauges").unwrap();
+                assert_eq!(gauges.get("device.offline").unwrap().as_u64(), Some(4));
+            }
+            other => panic!("{other:?}"),
         }
         match roundtrip(&engine, Op::Get { id }) {
             Response::GetOk { payload: got } => assert_eq!(got, payload),

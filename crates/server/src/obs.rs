@@ -502,8 +502,6 @@ mod tests {
             "repair.bytes_read",
             "repair.blocks_fetched",
             "repair.devices_contacted",
-            "federation.bytes_crossed",
-            "federation.blocks_crossed",
         ] {
             assert_eq!(counters.get(name).unwrap().as_u64(), Some(0), "{name}");
         }

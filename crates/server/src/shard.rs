@@ -27,7 +27,7 @@
 //!   a saturated queue cannot stall readiness processing.
 //! * **Bounded buffering.** A connection reads only until one complete
 //!   frame is buffered. While a complete frame is held back (serial hold,
-//!   in-flight cap, or more than [`OUT_HIGH_WATER`] bytes of unflushed
+//!   in-flight cap, or more than `OUT_HIGH_WATER` (1 MiB) of unflushed
 //!   output) the shard drops READ interest, so further requests wait in
 //!   the kernel's socket buffer and a client that pipelines without
 //!   reading its responses cannot grow server memory without limit.

@@ -40,24 +40,15 @@ pub type BlockKey = (u64, u32);
 /// synchronisation and may keep scratch state (open file handles,
 /// reusable read buffers) without interior mutability.
 pub trait BlockBackend: Send + Sync + std::fmt::Debug {
-    /// Stores a block, overwriting any previous content under `key`.
-    fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()>;
+    /// Stores a block, overwriting any previous content under `key`. The
+    /// backend takes ownership: [`MemoryBackend`] moves the buffer in
+    /// without a copy, preserving the zero-clone ingest path the
+    /// data-plane work established.
+    fn put(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()>;
 
-    /// Stores a block the backend may take ownership of. The default
-    /// forwards to [`BlockBackend::put`]; [`MemoryBackend`] overrides it
-    /// to move the buffer in without a copy, preserving the zero-clone
-    /// ingest path the data-plane work established.
-    fn put_owned(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
-        self.put(key, &data)
-    }
-
-    /// Reads a block into a fresh `Vec`; `Ok(None)` when absent.
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>>;
-
-    /// Reads a block into a buffer drawn from `pool` (the data-plane
-    /// fast path; see `tornado_codec::pool`).
-    fn get_pooled(&mut self, key: &BlockKey, pool: &mut BlockPool)
-        -> io::Result<Option<Vec<u8>>>;
+    /// Reads a block into a buffer drawn from `pool` (see
+    /// `tornado_codec::pool`); `Ok(None)` when absent.
+    fn get(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>>;
 
     /// Word-wide FNV checksum (`tornado_codec::kernels::checksum`) of
     /// the stored bytes, without handing out a copy — the scrub verify
@@ -106,25 +97,12 @@ impl MemoryBackend {
 }
 
 impl BlockBackend for MemoryBackend {
-    fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
-        self.blocks.insert(key, data.to_vec());
-        Ok(())
-    }
-
-    fn put_owned(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
+    fn put(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
         self.blocks.insert(key, data);
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.blocks.get(key).cloned())
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
+    fn get(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
         Ok(self.blocks.get(key).map(|b| pool.take_copy(b)))
     }
 
@@ -213,35 +191,58 @@ pub(crate) fn sync_file(f: &std::fs::File) -> io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::backend_file::FileBackend;
+    use crate::backend_segment::SegmentBackend;
+
+    /// Reads a block through the one pooled read, as the device layer does.
+    pub(crate) fn read(b: &mut dyn BlockBackend, key: &BlockKey) -> Option<Vec<u8>> {
+        b.get(key, &mut BlockPool::default()).unwrap()
+    }
 
     #[test]
-    fn memory_roundtrip_and_corrupt() {
-        let mut b = MemoryBackend::new();
-        assert_eq!(b.kind(), "memory");
-        b.put((1, 2), &[9, 8, 7]).unwrap();
-        assert!(b.contains(&(1, 2)));
-        assert_eq!(b.get(&(1, 2)).unwrap().unwrap(), vec![9, 8, 7]);
-        let sum = b.checksum(&(1, 2)).unwrap().unwrap();
-        assert_eq!(sum, kernels::checksum(&[9, 8, 7]));
-        assert!(b.corrupt(&(1, 2), 0xff).unwrap());
-        assert_ne!(b.checksum(&(1, 2)).unwrap().unwrap(), sum);
-        assert!(b.delete(&(1, 2)).unwrap());
-        assert!(!b.delete(&(1, 2)).unwrap());
-        assert_eq!(b.block_count(), 0);
-        assert!(b.get(&(1, 2)).unwrap().is_none());
+    fn every_backend_roundtrips_checksums_corrupts_and_deletes() {
+        let tag = format!("tornado-backend-seq-{}", std::process::id());
+        let dir = std::env::temp_dir().join(&tag);
+        let seg = std::env::temp_dir().join(format!("{tag}.seg"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&seg);
+        let backends: Vec<Box<dyn BlockBackend>> = vec![
+            Box::new(MemoryBackend::new()),
+            Box::new(FileBackend::open(&dir, false).unwrap()),
+            Box::new(SegmentBackend::open(&seg, false).unwrap()),
+        ];
+        let kinds: Vec<&str> = backends.iter().map(|b| b.kind()).collect();
+        assert_eq!(kinds, ["memory", "file", "segment"]);
+        for mut b in backends {
+            let kind = b.kind();
+            b.put((1, 2), vec![9, 8, 7]).unwrap();
+            assert!(b.contains(&(1, 2)), "{kind}");
+            assert_eq!(read(b.as_mut(), &(1, 2)), Some(vec![9, 8, 7]), "{kind}");
+            let sum = b.checksum(&(1, 2)).unwrap().unwrap();
+            assert_eq!(sum, kernels::checksum(&[9, 8, 7]), "{kind}");
+            assert!(b.corrupt(&(1, 2), 0xff).unwrap(), "{kind}");
+            assert_ne!(b.checksum(&(1, 2)).unwrap().unwrap(), sum, "{kind}");
+            assert!(b.delete(&(1, 2)).unwrap(), "{kind}");
+            assert!(!b.delete(&(1, 2)).unwrap(), "{kind}");
+            assert_eq!(b.block_count(), 0, "{kind}");
+            assert_eq!(read(b.as_mut(), &(1, 2)), None, "{kind}");
+            assert_eq!(b.checksum(&(1, 2)).unwrap(), None, "{kind}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&seg);
     }
 
     #[test]
     fn destroy_empties() {
         let mut b = MemoryBackend::new();
         for i in 0..4 {
-            b.put((i, 0), &[i as u8]).unwrap();
+            b.put((i, 0), vec![i as u8]).unwrap();
         }
         b.destroy().unwrap();
         assert_eq!(b.block_count(), 0);
-        b.put((9, 9), &[1]).unwrap();
+        b.put((9, 9), vec![1]).unwrap();
         assert_eq!(b.block_count(), 1);
     }
 }

@@ -85,7 +85,7 @@ impl FileBackend {
 }
 
 impl BlockBackend for FileBackend {
-    fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
+    fn put(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
         let path = self.path_of(&key);
         let tmp = self.dir.join(format!("{}.tmp", block_file_name(&key)));
         {
@@ -94,7 +94,7 @@ impl BlockBackend for FileBackend {
                 .create(true)
                 .truncate(true)
                 .open(&tmp)?;
-            f.write_all(data)?;
+            f.write_all(&data)?;
             if self.fsync {
                 sync_file(&f)?;
             }
@@ -104,18 +104,7 @@ impl BlockBackend for FileBackend {
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        if !self.index.contains(key) {
-            return Ok(None);
-        }
-        Ok(Some(fs::read(self.path_of(key))?))
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
+    fn get(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
         if !self.read_into_scratch(key)? {
             return Ok(None);
         }
@@ -188,6 +177,7 @@ impl BlockBackend for FileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::read;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -211,15 +201,15 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let mut b = FileBackend::open(&dir, false).unwrap();
-            b.put((1, 0), &[1, 2, 3]).unwrap();
-            b.put((2, 5), &[4; 100]).unwrap();
+            b.put((1, 0), vec![1, 2, 3]).unwrap();
+            b.put((2, 5), vec![4; 100]).unwrap();
         }
         // Plant a torn temp file from a hypothetical crash.
         fs::write(dir.join("00000000000000ff.00000001.blk.tmp"), b"torn").unwrap();
         let mut b = FileBackend::open(&dir, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![1, 2, 3]);
-        assert_eq!(b.get(&(2, 5)).unwrap().unwrap(), vec![4; 100]);
+        assert_eq!(read(&mut b, &(1, 0)), Some(vec![1, 2, 3]));
+        assert_eq!(read(&mut b, &(2, 5)), Some(vec![4; 100]));
         assert!(!dir.join("00000000000000ff.00000001.blk.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -228,8 +218,8 @@ mod tests {
     fn destroy_removes_files() {
         let dir = tmpdir("destroy");
         let mut b = FileBackend::open(&dir, false).unwrap();
-        b.put((1, 0), &[1]).unwrap();
-        b.put((1, 1), &[2]).unwrap();
+        b.put((1, 0), vec![1]).unwrap();
+        b.put((1, 1), vec![2]).unwrap();
         b.destroy().unwrap();
         assert_eq!(b.block_count(), 0);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);

@@ -153,24 +153,13 @@ impl SegmentBackend {
 }
 
 impl BlockBackend for SegmentBackend {
-    fn put(&mut self, key: BlockKey, data: &[u8]) -> io::Result<()> {
-        let off = self.append(KIND_PUT, key, data)?;
+    fn put(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
+        let off = self.append(KIND_PUT, key, &data)?;
         self.index.insert(key, (off, data.len() as u32));
         Ok(())
     }
 
-    fn get(&mut self, key: &BlockKey) -> io::Result<Option<Vec<u8>>> {
-        if !self.read_into_scratch(key)? {
-            return Ok(None);
-        }
-        Ok(Some(self.scratch.clone()))
-    }
-
-    fn get_pooled(
-        &mut self,
-        key: &BlockKey,
-        pool: &mut BlockPool,
-    ) -> io::Result<Option<Vec<u8>>> {
+    fn get(&mut self, key: &BlockKey, pool: &mut BlockPool) -> io::Result<Option<Vec<u8>>> {
         if !self.read_into_scratch(key)? {
             return Ok(None);
         }
@@ -237,6 +226,7 @@ impl BlockBackend for SegmentBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::read;
 
     fn tmpseg(tag: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -252,18 +242,18 @@ mod tests {
         let path = tmpseg("roundtrip");
         {
             let mut b = SegmentBackend::open(&path, false).unwrap();
-            b.put((1, 0), &[1, 2, 3]).unwrap();
-            b.put((1, 0), &[9, 9]).unwrap(); // shadows
-            b.put((2, 4), &[7; 64]).unwrap();
-            b.put((3, 1), &[5]).unwrap();
+            b.put((1, 0), vec![1, 2, 3]).unwrap();
+            b.put((1, 0), vec![9, 9]).unwrap(); // shadows
+            b.put((2, 4), vec![7; 64]).unwrap();
+            b.put((3, 1), vec![5]).unwrap();
             b.delete(&(3, 1)).unwrap();
-            assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![9, 9]);
+            assert_eq!(read(&mut b, &(1, 0)).unwrap(), vec![9, 9]);
         }
         let mut b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![9, 9]);
-        assert_eq!(b.get(&(2, 4)).unwrap().unwrap(), vec![7; 64]);
-        assert!(b.get(&(3, 1)).unwrap().is_none());
+        assert_eq!(read(&mut b, &(1, 0)).unwrap(), vec![9, 9]);
+        assert_eq!(read(&mut b, &(2, 4)).unwrap(), vec![7; 64]);
+        assert_eq!(read(&mut b, &(3, 1)), None);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -272,8 +262,8 @@ mod tests {
         let path = tmpseg("torn");
         {
             let mut b = SegmentBackend::open(&path, false).unwrap();
-            b.put((1, 0), &[1, 2, 3, 4]).unwrap();
-            b.put((2, 0), &[5, 6, 7, 8]).unwrap();
+            b.put((1, 0), vec![1, 2, 3, 4]).unwrap();
+            b.put((2, 0), vec![5, 6, 7, 8]).unwrap();
         }
         // Tear the file mid-way through the second record.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -282,13 +272,13 @@ mod tests {
         drop(f);
         let mut b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 1);
-        assert_eq!(b.get(&(1, 0)).unwrap().unwrap(), vec![1, 2, 3, 4]);
+        assert_eq!(read(&mut b, &(1, 0)).unwrap(), vec![1, 2, 3, 4]);
         // The torn tail was truncated: appends land on a clean boundary.
-        b.put((2, 0), &[5, 6, 7, 8]).unwrap();
+        b.put((2, 0), vec![5, 6, 7, 8]).unwrap();
         drop(b);
         let mut b = SegmentBackend::open(&path, false).unwrap();
         assert_eq!(b.block_count(), 2);
-        assert_eq!(b.get(&(2, 0)).unwrap().unwrap(), vec![5, 6, 7, 8]);
+        assert_eq!(read(&mut b, &(2, 0)).unwrap(), vec![5, 6, 7, 8]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -297,8 +287,8 @@ mod tests {
         let path = tmpseg("rot");
         {
             let mut b = SegmentBackend::open(&path, false).unwrap();
-            b.put((1, 0), &[1; 32]).unwrap();
-            b.put((2, 0), &[2; 32]).unwrap();
+            b.put((1, 0), vec![1; 32]).unwrap();
+            b.put((2, 0), vec![2; 32]).unwrap();
         }
         // Flip one payload byte of the *last* record on disk.
         let len = std::fs::metadata(&path).unwrap().len();

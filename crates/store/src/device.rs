@@ -176,7 +176,7 @@ impl Device {
             s.stats.failed_writes += 1;
             return false;
         }
-        match s.backend.put_owned(key, data) {
+        match s.backend.put(key, data) {
             Ok(()) => {
                 s.stats.writes += 1;
                 true
@@ -201,38 +201,10 @@ impl Device {
         }
     }
 
-    /// Reads a block; `None` when offline or absent. Attributed as a
-    /// [`ReadClass::Payload`] read.
-    pub fn read_block(&self, key: &BlockKey) -> Option<Vec<u8>> {
-        self.read_block_classed(key, ReadClass::Payload)
-    }
-
-    /// Reads a block attributed to `class`; `None` when offline, absent,
-    /// or failing at the I/O layer.
-    pub fn read_block_classed(&self, key: &BlockKey, class: ReadClass) -> Option<Vec<u8>> {
-        let mut s = self.state.write().expect("device lock");
-        if !s.online {
-            s.stats.failed_reads += 1;
-            return None;
-        }
-        match s.backend.get(key) {
-            Ok(block) => {
-                if let Some(b) = &block {
-                    s.stats.record_read(b.len(), class);
-                }
-                block
-            }
-            Err(_) => {
-                s.stats.io_errors += 1;
-                None
-            }
-        }
-    }
-
-    /// Like [`Device::read_block`], but copies into a buffer recycled from
-    /// `pool` instead of a fresh allocation — the serving path's read
-    /// primitive. Bytes are attributed to `class`.
-    pub fn read_block_pooled(
+    /// Reads a block into a buffer recycled from `pool`, attributing the
+    /// bytes to `class`; `None` when offline, absent, or failing at the
+    /// I/O layer.
+    pub fn read_block(
         &self,
         key: &BlockKey,
         pool: &mut tornado_codec::BlockPool,
@@ -243,7 +215,7 @@ impl Device {
             s.stats.failed_reads += 1;
             return None;
         }
-        match s.backend.get_pooled(key, pool) {
+        match s.backend.get(key, pool) {
             Ok(block) => {
                 if let Some(b) = &block {
                     s.stats.record_read(b.len(), class);
@@ -327,12 +299,18 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tornado_codec::BlockPool;
+
+    /// A payload-class read through a throwaway pool.
+    fn read(d: &Device, key: &BlockKey) -> Option<Vec<u8>> {
+        d.read_block(key, &mut BlockPool::default(), ReadClass::Payload)
+    }
 
     #[test]
     fn write_read_roundtrip() {
         let d = Device::new(3);
         assert!(d.write_block((1, 0), vec![1, 2, 3]));
-        assert_eq!(d.read_block(&(1, 0)), Some(vec![1, 2, 3]));
+        assert_eq!(read(&d, &(1, 0)), Some(vec![1, 2, 3]));
         assert_eq!(d.stats().reads, 1);
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.block_count(), 1);
@@ -345,11 +323,11 @@ mod tests {
         d.write_block((1, 0), vec![9]);
         d.fail();
         assert!(!d.is_online());
-        assert_eq!(d.read_block(&(1, 0)), None);
+        assert_eq!(read(&d, &(1, 0)), None);
         assert_eq!(d.stats().failed_reads, 1);
         d.replace();
         assert!(d.is_online());
-        assert_eq!(d.read_block(&(1, 0)), None, "replacement is empty");
+        assert_eq!(read(&d, &(1, 0)), None, "replacement is empty");
         assert_eq!(d.block_count(), 0);
     }
 
@@ -389,16 +367,16 @@ mod tests {
     fn read_bytes_are_attributed_per_class() {
         let d = Device::new(0);
         d.write_block((1, 0), vec![7u8; 64]);
-        assert!(d.read_block(&(1, 0)).is_some());
-        assert!(d.read_block_classed(&(1, 0), ReadClass::Repair).is_some());
-        let mut pool = tornado_codec::BlockPool::default();
-        assert!(d.read_block_pooled(&(1, 0), &mut pool, ReadClass::Repair).is_some());
-        assert!(d.read_block_pooled(&(1, 0), &mut pool, ReadClass::Payload).is_some());
+        let mut pool = BlockPool::default();
+        assert!(d.read_block(&(1, 0), &mut pool, ReadClass::Payload).is_some());
+        assert!(d.read_block(&(1, 0), &mut pool, ReadClass::Repair).is_some());
+        assert!(d.read_block(&(1, 0), &mut pool, ReadClass::Repair).is_some());
+        assert!(d.read_block(&(1, 0), &mut pool, ReadClass::Payload).is_some());
         let s = d.stats();
         assert_eq!(s.reads, 4);
         assert_eq!(s.bytes_read, 4 * 64);
         assert_eq!(s.bytes_repair_read, 2 * 64);
-        assert!(d.read_block_classed(&(9, 9), ReadClass::Repair).is_none());
+        assert!(d.read_block(&(9, 9), &mut pool, ReadClass::Repair).is_none());
         assert_eq!(d.stats().bytes_read, 4 * 64, "misses serve no bytes");
     }
 
@@ -422,7 +400,7 @@ mod tests {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        assert_eq!(d.read_block(&(1, 1)).unwrap()[0], 42);
+                        assert_eq!(read(&d, &(1, 1)).unwrap()[0], 42);
                     }
                 })
             })
@@ -453,7 +431,7 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         std::fs::create_dir(&path).unwrap();
         assert!(d.has_block(&(1, 2)), "index still lists it");
-        assert_eq!(d.read_block(&(1, 2)), None, "read error reads as erasure");
+        assert_eq!(read(&d, &(1, 2)), None, "read error reads as erasure");
         assert_eq!(d.verify_block(&(1, 2), 0), BlockProbe::Missing);
         let s = d.stats();
         assert_eq!(s.io_errors, 2);

@@ -14,12 +14,11 @@
 //! data node allows the data graph to be reconstructed even when both
 //! graphs cannot independently perform the reconstruction."
 
+use crate::device::ReadClass;
 use crate::error::StoreError;
-use crate::obs::StoreObserver;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use tornado_codec::Codec;
 use tornado_graph::{Graph, NodeId};
-use tornado_obs::Json;
 use tornado_sim::multi::FederatedSystem;
 
 /// How a federated `get` was satisfied.
@@ -38,10 +37,9 @@ pub enum FetchPath {
     },
 }
 
-/// What a [`FederatedStore::exchange_repair`] moved and restored. The
-/// crossed tallies are what the `federation.blocks_crossed` /
-/// `federation.bytes_crossed` counters are fed from, so the two views
-/// always agree.
+/// What a [`FederatedStore::exchange_repair`] moved and restored — the
+/// exchange's cross-site traffic, returned to the caller rather than
+/// counted in an observer.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExchangeReport {
     /// Blocks rewritten at either site.
@@ -135,11 +133,11 @@ impl FederatedStore {
         // B's nodes (its data copies become the replica slots).
         let mut stored: Vec<Option<Vec<u8>>> = Vec::with_capacity(fed_graph.num_nodes());
         for node in 0..n_a as NodeId {
-            stored.push(self.site_a.read_raw_block(&meta_a, node));
+            stored.push(self.site_a.read_raw_block(&meta_a, node, ReadClass::Repair));
         }
         let mut blocks_crossed = 0usize;
         for node in 0..self.site_b.graph().num_nodes() as NodeId {
-            let block = self.site_b.read_raw_block(&meta_b, node);
+            let block = self.site_b.read_raw_block(&meta_b, node, ReadClass::Repair);
             blocks_crossed += usize::from(block.is_some());
             stored.push(block);
         }
@@ -201,31 +199,6 @@ impl FederatedStore {
                 + pushed as u64 * pushed_len as u64,
         })
     }
-
-    /// [`FederatedStore::exchange_repair`] with the crossed traffic and
-    /// restored blocks recorded into `obs`'s federation counters and one
-    /// `exchange_repair` event emitted. The report is identical.
-    pub fn exchange_repair_observed(
-        &self,
-        id: ObjectId,
-        obs: &StoreObserver,
-    ) -> Result<ExchangeReport, StoreError> {
-        let report = self.exchange_repair(id)?;
-        obs.federation_exchanges.inc();
-        obs.federation_blocks_restored.add(report.blocks_restored as u64);
-        obs.federation_blocks_crossed.add(report.blocks_crossed as u64);
-        obs.federation_bytes_crossed.add(report.bytes_crossed);
-        obs.events.emit(
-            "exchange_repair",
-            &[
-                ("id", Json::U64(id)),
-                ("restored", Json::U64(report.blocks_restored as u64)),
-                ("blocks_crossed", Json::U64(report.blocks_crossed as u64)),
-                ("bytes_crossed", Json::U64(report.bytes_crossed)),
-            ],
-        );
-        Ok(report)
-    }
 }
 
 /// Re-encodes `payload` under `site`'s graph and writes any missing blocks
@@ -240,7 +213,7 @@ fn refill_site(
     let mut restored = 0usize;
     for (node, block) in stripe.blocks().iter().enumerate() {
         let node = node as NodeId;
-        if site.read_raw_block(meta, node).is_none()
+        if site.read_raw_block(meta, node, ReadClass::Repair).is_none()
             && site.write_raw_block(meta, node, block.clone())
         {
             restored += 1;
@@ -369,30 +342,5 @@ mod tests {
         assert_eq!(report.blocks_restored, 2);
         assert_eq!(report.blocks_crossed, 2);
         assert_eq!(report.bytes_crossed, 2 * block_len as u64);
-    }
-
-    #[test]
-    fn observed_exchange_agrees_with_the_counter() {
-        // The satellite invariant: the counter is fed from the report, so
-        // the two views of "bytes crossed" can never drift.
-        let fed = two_mirror_sites();
-        let id = fed.put("x", b"ledger must balance").unwrap();
-        fed.site_b().fail_device(2).unwrap();
-        fed.site_b().replace_device(2).unwrap();
-        fed.site_a().fail_device(3).unwrap();
-        fed.site_a().replace_device(3).unwrap();
-        let obs = StoreObserver::disabled();
-        let first = fed.exchange_repair_observed(id, &obs).unwrap();
-        assert!(first.blocks_restored >= 2);
-        assert_eq!(obs.federation_bytes_crossed.get(), first.bytes_crossed);
-        assert_eq!(obs.federation_blocks_crossed.get(), first.blocks_crossed as u64);
-        // A second (clean) exchange adds nothing: counters accumulate.
-        let second = fed.exchange_repair_observed(id, &obs).unwrap();
-        assert_eq!(second, ExchangeReport::default());
-        assert_eq!(obs.federation_exchanges.get(), 2);
-        assert_eq!(
-            obs.federation_bytes_crossed.get(),
-            first.bytes_crossed + second.bytes_crossed
-        );
     }
 }

@@ -3,10 +3,11 @@
 //! A [`StoreObserver`] collects what operators of the simulated archive
 //! care about between scrub passes: how long a cycle took, how many
 //! stripes are degraded or urgent right now (gauges — point-in-time, not
-//! cumulative), how many blocks repair has rewritten (counter —
-//! cumulative), and how much the guided retrieval planner is saving over a
-//! naive fetch-everything reader. The disabled observer costs one branch
-//! per emit and a handful of relaxed stores per scrub.
+//! cumulative), how many blocks repair has rewritten and what that repair
+//! read (counters — cumulative), and the device pool's health. Every
+//! [`ArchivalStore`] owns one, disabled until
+//! [`ArchivalStore::set_observer`] replaces it; the disabled observer
+//! costs one branch per emit and a handful of relaxed stores per scrub.
 
 use tornado_codec::DecodeMetrics;
 use tornado_obs::{Counter, EventSink, Gauge, Histogram, Json, Snapshot, SpanTimer};
@@ -14,8 +15,8 @@ use tornado_obs::{Counter, EventSink, Gauge, Histogram, Json, Snapshot, SpanTime
 use crate::scrubber::ScrubOutcome;
 use crate::store::ArchivalStore;
 
-/// Observability bundle for [`crate::scrubber::scrub_observed`] and
-/// [`crate::retrieval::plan_retrieval_observed`].
+/// Observability bundle a store records its scrub passes and device
+/// transitions into.
 pub struct StoreObserver {
     /// Structured event sink (disabled by default).
     pub events: EventSink,
@@ -35,14 +36,6 @@ pub struct StoreObserver {
     pub stripes_verified: Counter,
     /// Stripes that needed the full read + decode tier, cumulative.
     pub stripes_decoded: Counter,
-    /// Retrieval plans computed successfully.
-    pub retrieval_plans: Counter,
-    /// Retrieval requests that were unplannable (data unrecoverable).
-    pub retrieval_unplannable: Counter,
-    /// Blocks the guided plans would fetch, cumulative.
-    pub retrieval_blocks_fetched: Counter,
-    /// Retrieval planning wall time, microseconds.
-    pub plan_us: Histogram,
     /// Devices currently offline (point-in-time).
     pub devices_offline: Gauge,
     /// Writes rejected by offline devices across the pool (point-in-time
@@ -68,17 +61,7 @@ pub struct StoreObserver {
     /// Repair-class bytes read across the pool (point-in-time sum of
     /// [`crate::device::DeviceStats::bytes_repair_read`]).
     pub device_bytes_repair_read: Gauge,
-    /// Federation exchange-repair invocations.
-    pub federation_exchanges: Counter,
-    /// Blocks restored by federation exchanges, cumulative.
-    pub federation_blocks_restored: Counter,
-    /// Blocks moved between sites, cumulative — fed from
-    /// [`crate::federation::ExchangeReport::blocks_crossed`], so counter
-    /// and return value always agree.
-    pub federation_blocks_crossed: Counter,
-    /// Bytes moved between sites, cumulative.
-    pub federation_bytes_crossed: Counter,
-    /// Peeling-kernel counters drained from observed scrub decodes. Each
+    /// Peeling-kernel counters drained from scrub decodes. Each
     /// scrub worker records into its own decoder and drains here at stripe
     /// boundaries; summation commutes, so the totals are independent of
     /// which worker scrubbed which stripe.
@@ -99,10 +82,6 @@ impl StoreObserver {
             stripes_skipped: Counter::new(),
             stripes_verified: Counter::new(),
             stripes_decoded: Counter::new(),
-            retrieval_plans: Counter::new(),
-            retrieval_unplannable: Counter::new(),
-            retrieval_blocks_fetched: Counter::new(),
-            plan_us: Histogram::new(),
             devices_offline: Gauge::new(),
             device_failed_writes: Gauge::new(),
             device_io_errors: Gauge::new(),
@@ -112,10 +91,6 @@ impl StoreObserver {
             repair_depth: Histogram::new(),
             device_bytes_read: Gauge::new(),
             device_bytes_repair_read: Gauge::new(),
-            federation_exchanges: Counter::new(),
-            federation_blocks_restored: Counter::new(),
-            federation_blocks_crossed: Counter::new(),
-            federation_bytes_crossed: Counter::new(),
             decode: DecodeMetrics::new(),
         }
     }
@@ -155,9 +130,9 @@ impl StoreObserver {
     }
 
     /// Records a completed recovery-on-open: emits a `recovery` event
-    /// with the full [`RecoveryReport`]. The `backend.*` counters the
-    /// recovery bumped are process-wide and flow into every snapshot via
-    /// [`StoreObserver::fill_snapshot`].
+    /// with the full [`crate::durable::RecoveryReport`]. The `backend.*`
+    /// counters the recovery bumped are process-wide and flow into every
+    /// snapshot via [`StoreObserver::fill_snapshot`].
     pub fn record_recovery(&self, report: &crate::durable::RecoveryReport) {
         self.events.emit(
             "recovery",
@@ -230,16 +205,9 @@ impl StoreObserver {
             .counter("scrub.skipped", &self.stripes_skipped)
             .counter("scrub.verified", &self.stripes_verified)
             .counter("scrub.decoded", &self.stripes_decoded)
-            .counter("retrieval.plans", &self.retrieval_plans)
-            .counter("retrieval.unplannable", &self.retrieval_unplannable)
-            .counter("retrieval.blocks_fetched", &self.retrieval_blocks_fetched)
             .counter("repair.bytes_read", &self.repair_bytes_read)
             .counter("repair.blocks_fetched", &self.repair_blocks_fetched)
             .counter("repair.devices_contacted", &self.repair_devices_contacted)
-            .counter("federation.exchanges", &self.federation_exchanges)
-            .counter("federation.blocks_restored", &self.federation_blocks_restored)
-            .counter("federation.blocks_crossed", &self.federation_blocks_crossed)
-            .counter("federation.bytes_crossed", &self.federation_bytes_crossed)
             .gauge("scrub.degraded_stripes", &self.degraded)
             .gauge("scrub.urgent_stripes", &self.urgent)
             .gauge("device.offline", &self.devices_offline)
@@ -262,9 +230,6 @@ impl StoreObserver {
         }
         if self.scrub_cycle_us.count() > 0 {
             snap.histogram("scrub.cycle_us", &self.scrub_cycle_us);
-        }
-        if self.plan_us.count() > 0 {
-            snap.histogram("retrieval.plan_us", &self.plan_us);
         }
         if self.decode.get(tornado_codec::metrics::cells::TRIALS) > 0 {
             self.decode.fill_snapshot(snap);

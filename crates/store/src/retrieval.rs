@@ -12,11 +12,9 @@
 //! depend on. Fetching the planned set and replaying the pruned schedule
 //! with XOR is guaranteed to reproduce the full data.
 
-use crate::obs::StoreObserver;
 use std::collections::BTreeSet;
 use tornado_codec::{ErasureDecoder, RecoveryStep};
 use tornado_graph::{Graph, NodeId};
-use tornado_obs::{Json, SpanTimer};
 
 /// What one recovery cost: the currency repair-bandwidth papers (Park et
 /// al., the Dimakis regenerating-codes line) argue codes must be judged in,
@@ -228,46 +226,6 @@ fn plan_for(
     })
 }
 
-/// [`plan_retrieval`] with planning time, plan/unplannable counters, and
-/// fetched-block totals recorded into `obs`, plus one `retrieval_plan`
-/// event. The plan itself is identical to [`plan_retrieval`].
-pub fn plan_retrieval_observed(
-    graph: &Graph,
-    available: &[NodeId],
-    obs: &StoreObserver,
-) -> Option<RetrievalPlan> {
-    let span = SpanTimer::new(&obs.plan_us);
-    let plan = plan_retrieval(graph, available);
-    let elapsed_us = span.stop();
-    match &plan {
-        Some(p) => {
-            obs.retrieval_plans.inc();
-            obs.retrieval_blocks_fetched.add(p.blocks_fetched() as u64);
-            obs.events.emit(
-                "retrieval_plan",
-                &[
-                    ("available", Json::U64(available.len() as u64)),
-                    ("fetch", Json::U64(p.blocks_fetched() as u64)),
-                    ("steps", Json::U64(p.schedule.len() as u64)),
-                    ("elapsed_us", Json::U64(elapsed_us)),
-                ],
-            );
-        }
-        None => {
-            obs.retrieval_unplannable.inc();
-            obs.events.emit(
-                "retrieval_plan",
-                &[
-                    ("available", Json::U64(available.len() as u64)),
-                    ("unplannable", Json::Bool(true)),
-                    ("elapsed_us", Json::U64(elapsed_us)),
-                ],
-            );
-        }
-    }
-    plan
-}
-
 /// Baseline strategy for the ablation benches: fetch every available block
 /// (what a naive reader does).
 pub fn plan_fetch_all(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan> {
@@ -355,19 +313,6 @@ mod tests {
         for f in &smart.fetch {
             assert!(naive.fetch.contains(f));
         }
-    }
-
-    #[test]
-    fn observed_planning_counts_plans_and_failures() {
-        let g = cascade();
-        let obs = StoreObserver::disabled();
-        let plan = plan_retrieval_observed(&g, &all_except(&g, &[0]), &obs).unwrap();
-        assert_eq!(plan, plan_retrieval(&g, &all_except(&g, &[0])).unwrap());
-        assert!(plan_retrieval_observed(&g, &all_except(&g, &[0, 1, 4]), &obs).is_none());
-        assert_eq!(obs.retrieval_plans.get(), 1);
-        assert_eq!(obs.retrieval_unplannable.get(), 1);
-        assert_eq!(obs.retrieval_blocks_fetched.get(), plan.blocks_fetched() as u64);
-        assert_eq!(obs.plan_us.count(), 2, "both attempts are timed");
     }
 
     #[test]

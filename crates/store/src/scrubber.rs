@@ -27,16 +27,16 @@
 //! Every tier reports identical [`StripeHealth`]s for states reachable
 //! through the store API; what each tier actually did per stripe is
 //! recorded as a [`ScrubAction`].
-
-//! Scrub passes can fan out across worker threads ([`scrub_cycle`]): each
-//! rayon worker scrubs whole stripes with its own thread-local block pool
-//! and decoder, and the per-stripe results are folded back **in object-id
+//!
+//! A [`Scrubber`] can fan a pass out across worker threads: each rayon
+//! worker scrubs whole stripes with its own thread-local block pool and
+//! decoder, and the per-stripe results are folded back **in object-id
 //! order**, so the outcome is bit-identical to a serial pass regardless of
-//! thread count. A long-lived [`Scrubber`] owns its rayon pool (built once,
-//! reused every cycle) and the clean-stripe marks the skip tier consults.
+//! thread count. It owns its rayon pool (built once, reused every cycle)
+//! and the clean-stripe marks the skip tier consults. Every pass records
+//! into the store's observer (see [`ArchivalStore::set_observer`]).
 
-use crate::device::BlockProbe;
-use crate::obs::StoreObserver;
+use crate::device::{BlockProbe, ReadClass};
 use crate::retrieval::RepairCost;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
 use std::sync::Mutex;
@@ -182,51 +182,14 @@ impl ScrubOutcome {
 /// Inspects every stripe; `repair` additionally reconstructs missing blocks
 /// and writes them back where devices permit. `first_failure_level` is the
 /// graph's profiled worst-case bound (5 for the paper's adjusted graphs)
-/// used to compute margins. Serial — equivalent to [`scrub_cycle`] with one
-/// thread. Runs the (default) verify tier: blocks are hash-checked in
-/// place and only damaged stripes are read and decoded; the reported
-/// healths are identical to a [`ScrubMode::Full`] pass.
+/// used to compute margins. A serial, one-shot [`Scrubber::run`] in the
+/// (default) verify tier: blocks are hash-checked in place and only
+/// damaged stripes are read and decoded; the reported healths are
+/// identical to a [`ScrubMode::Full`] pass. Periodic or parallel loops
+/// should hold a `Scrubber` so the worker pool and clean marks persist
+/// across cycles.
 pub fn scrub(store: &ArchivalStore, first_failure_level: usize, repair: bool) -> ScrubOutcome {
-    scrub_cycle(store, first_failure_level, repair, 1)
-}
-
-/// A scrub pass fanned out across `threads` worker threads (`0` means
-/// automatic). Workers scrub whole stripes with their own block pools and
-/// decoders; results fold back in object-id order, so the outcome is
-/// bit-identical to [`scrub`]. One-shot: builds a fresh [`Scrubber`];
-/// periodic loops should hold a `Scrubber` so the worker pool and clean
-/// marks persist across cycles.
-pub fn scrub_cycle(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    threads: usize,
-) -> ScrubOutcome {
-    Scrubber::new(threads).run(store, first_failure_level, repair, ScrubMode::Verify)
-}
-
-/// [`scrub`] with the pass timed into `obs`'s cycle histogram, the
-/// degraded/urgent gauges updated, the repair counter bumped, decode-kernel
-/// cells drained into `obs.decode`, and one `scrub_cycle` event emitted.
-/// The outcome is identical to [`scrub`].
-pub fn scrub_observed(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    obs: &StoreObserver,
-) -> ScrubOutcome {
-    scrub_cycle_observed(store, first_failure_level, repair, 1, obs)
-}
-
-/// [`scrub_cycle`] with the same observability as [`scrub_observed`].
-pub fn scrub_cycle_observed(
-    store: &ArchivalStore,
-    first_failure_level: usize,
-    repair: bool,
-    threads: usize,
-    obs: &StoreObserver,
-) -> ScrubOutcome {
-    Scrubber::new(threads).run_observed(store, first_failure_level, repair, ScrubMode::Verify, obs)
+    Scrubber::new(1).run(store, first_failure_level, repair, ScrubMode::Verify)
 }
 
 /// A stripe's clean mark: the dirty generation and pool epoch at which it
@@ -288,6 +251,12 @@ impl Scrubber {
     /// Runs one scrub cycle in `mode`. See [`scrub`] for the `repair` and
     /// `first_failure_level` semantics; healths are tier-independent, the
     /// per-stripe [`ScrubAction`]s record what the gating avoided.
+    ///
+    /// The pass is recorded into the store's observer: cycle time into
+    /// its histogram, the degraded/urgent gauges, the tier and repair
+    /// counters, decode-kernel cells into its `decode` metrics, the device
+    /// gauges, and one `scrub_cycle` event. Recording never changes the
+    /// outcome.
     pub fn run(
         &self,
         store: &ArchivalStore,
@@ -295,20 +264,9 @@ impl Scrubber {
         repair: bool,
         mode: ScrubMode,
     ) -> ScrubOutcome {
-        self.run_inner(store, first_failure_level, repair, mode, None)
-    }
-
-    /// [`Scrubber::run`] with the same observability as [`scrub_observed`].
-    pub fn run_observed(
-        &self,
-        store: &ArchivalStore,
-        first_failure_level: usize,
-        repair: bool,
-        mode: ScrubMode,
-        obs: &StoreObserver,
-    ) -> ScrubOutcome {
+        let obs = store.observer();
         let span = obs.scrub_span();
-        let outcome = self.run_inner(store, first_failure_level, repair, mode, Some(&obs.decode));
+        let outcome = self.run_inner(store, first_failure_level, repair, mode, &obs.decode);
         let elapsed_us = span.stop();
         obs.record_scrub(&outcome, elapsed_us, repair);
         obs.record_device_health(store);
@@ -321,7 +279,7 @@ impl Scrubber {
         first_failure_level: usize,
         repair: bool,
         mode: ScrubMode,
-        metrics: Option<&DecodeMetrics>,
+        metrics: &DecodeMetrics,
     ) -> ScrubOutcome {
         let codec = Codec::new(store.graph());
         let metas = store.list();
@@ -413,7 +371,7 @@ fn scrub_stripe(
     mode: ScrubMode,
     mark: Option<CleanMark>,
     epoch: u64,
-    metrics: Option<&DecodeMetrics>,
+    metrics: &DecodeMetrics,
 ) -> StripeScrub {
     let n = store.graph().num_nodes();
     // The generation is sampled *before* any block is probed: a writer
@@ -461,7 +419,7 @@ fn scrub_stripe(
     // bytes. `read_raw_block` re-verifies checksums, so a corrupt block
     // surfaces as missing here exactly as the probe saw it.
     let mut stored: Vec<Option<Vec<u8>>> = (0..n as NodeId)
-        .map(|node| store.read_raw_block(meta, node))
+        .map(|node| store.read_raw_block(meta, node, ReadClass::Repair))
         .collect();
     let missing: Vec<NodeId> = (0..n as NodeId)
         .filter(|&i| stored[i as usize].is_none())
@@ -495,11 +453,9 @@ fn scrub_stripe(
     let mut repaired = 0usize;
     let mut incomplete = false;
     if !missing.is_empty() {
-        let report = match metrics {
-            Some(m) => codec.decode_recorded(&mut stored, m),
-            None => codec.decode(&mut stored),
-        }
-        .expect("stripe shape is fixed");
+        let report = codec
+            .decode_recorded(&mut stored, metrics)
+            .expect("stripe shape is fixed");
         health.recoverable = report.complete();
         cost.recovery_depth = report.recovery_depth;
         if repair {
@@ -552,6 +508,8 @@ fn scrub_stripe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::StoreObserver;
+    use std::sync::Arc;
     use tornado_graph::{Graph, GraphBuilder};
 
     fn small_graph() -> Graph {
@@ -663,7 +621,6 @@ mod tests {
 
     #[test]
     fn observed_scrub_matches_and_records() {
-        use crate::obs::StoreObserver;
         use tornado_obs::{EventFormat, EventSink};
 
         let store = ArchivalStore::new(small_graph());
@@ -672,22 +629,23 @@ mod tests {
         store.replace_device(0).unwrap();
 
         let (events, buf) = EventSink::memory(EventFormat::Json);
-        let obs = StoreObserver::disabled().with_events(events);
+        let obs = Arc::new(StoreObserver::disabled().with_events(events));
         let plain = scrub(&store, 2, false);
-        let observed = scrub_observed(&store, 2, false, &obs);
+        store.set_observer(Arc::clone(&obs));
+        let observed = scrub(&store, 2, false);
         assert_eq!(plain, observed);
         assert_eq!(obs.degraded.get(), 1);
         assert_eq!(obs.urgent.get(), 1);
         assert_eq!(obs.scrub_cycles.get(), 1);
         assert_eq!(obs.scrub_cycle_us.count(), 1);
 
-        let repaired = scrub_observed(&store, 2, true, &obs);
+        let repaired = scrub(&store, 2, true);
         assert_eq!(repaired.blocks_repaired, 1);
         assert_eq!(obs.blocks_repaired.get(), 1);
         assert_eq!(obs.scrub_cycles.get(), 2);
 
         // Post-repair scrub: gauges reflect the latest pass, not history.
-        scrub_observed(&store, 2, false, &obs);
+        scrub(&store, 2, false);
         assert_eq!(obs.degraded.get(), 0);
         assert_eq!(obs.urgent.get(), 0);
 
@@ -711,15 +669,22 @@ mod tests {
         store.fail_device(5).unwrap();
         let serial = scrub(&store, 2, false);
         for threads in [2, 4, 7] {
-            let parallel = scrub_cycle(&store, 2, false, threads);
+            let parallel = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Verify);
             assert_eq!(serial, parallel, "threads = {threads}");
+        }
+        // An attached observer only records: outcomes stay bit-identical.
+        store.set_observer(Arc::new(StoreObserver::disabled()));
+        for threads in [1, 2, 4, 7] {
+            let observed = Scrubber::new(threads).run(&store, 2, false, ScrubMode::Verify);
+            assert_eq!(serial, observed, "observed, threads = {threads}");
         }
     }
 
     #[test]
     fn parallel_repair_matches_serial_repair() {
         // Two identically damaged stores: repair one serially, one with a
-        // 4-way scrub cycle. Outcomes and repaired contents must agree.
+        // 4-way scrub cycle and an attached observer. Outcomes and
+        // repaired contents must agree.
         let build = || {
             let store = ArchivalStore::new(small_graph());
             let ids: Vec<_> = (0..8u32)
@@ -732,7 +697,8 @@ mod tests {
         let (a, ids_a) = build();
         let (b, ids_b) = build();
         let serial = scrub(&a, 2, true);
-        let parallel = scrub_cycle(&b, 2, true, 4);
+        b.set_observer(Arc::new(StoreObserver::disabled()));
+        let parallel = Scrubber::new(4).run(&b, 2, true, ScrubMode::Verify);
         assert_eq!(serial, parallel);
         assert!(serial.blocks_repaired > 0);
         for (&ia, &ib) in ids_a.iter().zip(&ids_b) {
@@ -742,7 +708,6 @@ mod tests {
 
     #[test]
     fn observed_parallel_scrub_drains_decode_metrics() {
-        use crate::obs::StoreObserver;
         use tornado_codec::metrics::cells;
 
         let store = ArchivalStore::new(small_graph());
@@ -750,8 +715,9 @@ mod tests {
             store.put(&format!("m{i}"), b"decode me").unwrap();
         }
         store.fail_device(0).unwrap();
-        let obs = StoreObserver::disabled();
-        let out = scrub_cycle_observed(&store, 2, false, 3, &obs);
+        let obs = Arc::new(StoreObserver::disabled());
+        store.set_observer(Arc::clone(&obs));
+        let out = Scrubber::new(3).run(&store, 2, false, ScrubMode::Verify);
         assert_eq!(out.degraded_count(), 6);
         assert_eq!(obs.decode.get(cells::TRIALS), 6, "one decode per stripe");
         assert!(obs.decode.get(cells::RECOVERIES) >= 6);
@@ -896,14 +862,14 @@ mod tests {
 
     #[test]
     fn observed_scrub_records_tier_counters() {
-        use crate::obs::StoreObserver;
         let store = ArchivalStore::new(small_graph());
         store.put("a", b"one").unwrap();
         store.put("b", b"two").unwrap();
-        let obs = StoreObserver::disabled();
+        let obs = Arc::new(StoreObserver::disabled());
+        store.set_observer(Arc::clone(&obs));
         let scrubber = Scrubber::new(1);
-        scrubber.run_observed(&store, 2, false, ScrubMode::Incremental, &obs);
-        scrubber.run_observed(&store, 2, false, ScrubMode::Incremental, &obs);
+        scrubber.run(&store, 2, false, ScrubMode::Incremental);
+        scrubber.run(&store, 2, false, ScrubMode::Incremental);
         assert_eq!(obs.stripes_verified.get(), 2, "cold pass verified both");
         assert_eq!(obs.stripes_skipped.get(), 2, "warm pass skipped both");
         assert_eq!(obs.stripes_decoded.get(), 0);

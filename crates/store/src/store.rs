@@ -107,10 +107,11 @@ pub struct ArchivalStore {
     /// sidecar paths, fsync policy, crash injector. `None` keeps the
     /// volatile in-memory store on the exact pre-persistence code path.
     durability: Option<Durability>,
-    /// Attached by the serving layer: device gauges are refreshed on the
+    /// The store's one observer (disabled until [`ArchivalStore::set_observer`]).
+    /// Scrubs record into it, and device gauges are refreshed on the
     /// fail/replace transitions themselves, so a health scrape between
     /// scrub cycles never sees a stale fleet.
-    observer: RwLock<Option<Arc<StoreObserver>>>,
+    observer: RwLock<Arc<StoreObserver>>,
 }
 
 impl ArchivalStore {
@@ -150,22 +151,25 @@ impl ArchivalStore {
             generation_counter: AtomicU64::new(0),
             pool_epoch: AtomicU64::new(0),
             durability,
-            observer: RwLock::new(None),
+            observer: RwLock::new(Arc::new(StoreObserver::disabled())),
         }
     }
 
-    /// Attaches a [`StoreObserver`] whose device gauges are refreshed on
-    /// every fail/replace transition (not just on scrub cycles).
+    /// Replaces the store's [`StoreObserver`]. Scrub passes record into
+    /// it, and its device gauges are refreshed on every fail/replace
+    /// transition (not just on scrub cycles).
     pub fn set_observer(&self, obs: Arc<StoreObserver>) {
-        *self.observer.write().expect("observer lock") = Some(obs);
+        *self.observer.write().expect("observer lock") = obs;
     }
 
-    /// Refreshes the attached observer's device gauges, if any.
+    /// The store's observer.
+    pub(crate) fn observer(&self) -> Arc<StoreObserver> {
+        Arc::clone(&self.observer.read().expect("observer lock"))
+    }
+
+    /// Refreshes the observer's device gauges.
     fn notify_device_health(&self) {
-        let obs = self.observer.read().expect("observer lock").clone();
-        if let Some(obs) = obs {
-            obs.record_device_health(self);
-        }
+        self.observer().record_device_health(self);
     }
 
     /// The backend kind devices run on (`Memory` for volatile stores).
@@ -365,13 +369,6 @@ impl ArchivalStore {
         Ok(payload)
     }
 
-    /// Like [`ArchivalStore::get`], additionally reporting how many blocks
-    /// were fetched (the guided-retrieval metric).
-    pub fn get_with_stats(&self, id: ObjectId) -> Result<(Vec<u8>, usize), StoreError> {
-        let (payload, stats) = self.get_detailed(id)?;
-        Ok((payload, stats.blocks_fetched))
-    }
-
     /// Like [`ArchivalStore::get`], additionally reporting retrieval-path
     /// statistics (the serving layer's degraded-read signal).
     ///
@@ -428,7 +425,7 @@ impl ArchivalStore {
                 } else {
                     ReadClass::Repair
                 };
-                match self.read_raw_block_classed(&meta, node, class) {
+                match self.read_raw_block(&meta, node, class) {
                     Some(b) => {
                         bytes_read += b.len() as u64;
                         blocks_read += 1;
@@ -518,19 +515,13 @@ impl ArchivalStore {
         Ok(())
     }
 
-    /// Exposes the raw stored block for federation/scrubbing, verifying its
+    /// Reads one stored block, attributed to `class`, verifying its
     /// checksum: a corrupt block is reported as absent (an erasure), which
-    /// is exactly how the coding layer can repair it. The copy is made into
-    /// a buffer recycled from the calling thread's block pool.
-    pub(crate) fn read_raw_block(&self, meta: &ObjectMeta, node: NodeId) -> Option<Vec<u8>> {
-        self.read_raw_block_classed(meta, node, ReadClass::Repair)
-    }
-
-    /// [`ArchivalStore::read_raw_block`] with an explicit attribution
-    /// class. The raw-block readers (scrub tier 3, federation) are repair
-    /// paths, so the classless form defaults to [`ReadClass::Repair`]; the
-    /// GET path passes the class per node.
-    pub(crate) fn read_raw_block_classed(
+    /// is exactly how the coding layer can repair it. The GET path passes
+    /// the class per node; scrub tier 3 and federation read as
+    /// [`ReadClass::Repair`]. The copy is made into a buffer recycled from
+    /// the calling thread's block pool.
+    pub(crate) fn read_raw_block(
         &self,
         meta: &ObjectMeta,
         node: NodeId,
@@ -538,7 +529,7 @@ impl ArchivalStore {
     ) -> Option<Vec<u8>> {
         let dev = self.device_of_block(meta, node);
         let block = pool::with_thread_pool(|p| {
-            self.devices[dev].read_block_pooled(&(meta.id, node), p, class)
+            self.devices[dev].read_block(&(meta.id, node), p, class)
         })?;
         if block_checksum(&block) != meta.checksums[node as usize] {
             pool::with_thread_pool(|p| p.recycle(block));
@@ -709,13 +700,13 @@ mod tests {
             .unwrap();
         let store = ArchivalStore::new(graph);
         let id = store.put("big", &vec![7u8; 4096]).unwrap();
-        let (_, fetched_healthy) = store.get_with_stats(id).unwrap();
-        assert_eq!(fetched_healthy, 48, "healthy stripe reads only data blocks");
+        let (_, healthy) = store.get_detailed(id).unwrap();
+        assert_eq!(healthy.blocks_fetched, 48, "healthy stripe reads only data blocks");
         store.fail_device(3).unwrap();
-        let (payload, fetched_degraded) = store.get_with_stats(id).unwrap();
+        let (payload, degraded) = store.get_detailed(id).unwrap();
         assert_eq!(payload.len(), 4096);
         assert!(
-            fetched_degraded < 96,
+            degraded.blocks_fetched < 96,
             "degraded read must not touch the whole stripe"
         );
     }
@@ -814,9 +805,9 @@ mod tests {
         let id = store.put("x", b"integrity matters").unwrap();
         // Corrupt data block 0 in place (device 0, rotation 0).
         assert!(store.device(0).unwrap().corrupt_block(&(id, 0), 0xFF));
-        let (payload, fetched) = store.get_with_stats(id).unwrap();
+        let (payload, stats) = store.get_detailed(id).unwrap();
         assert_eq!(payload, b"integrity matters");
-        assert!(fetched >= 4, "had to fetch extra blocks to route around corruption");
+        assert!(stats.blocks_fetched >= 4, "had to fetch extra blocks to route around corruption");
     }
 
     #[test]
