@@ -130,29 +130,6 @@ impl Iterator for CombinationIter {
     }
 }
 
-/// Convenience constructor: all `k`-subsets of `0..n`, lexicographic.
-///
-/// ```
-/// use tornado_bitset::Combinations;
-/// let all: Vec<Vec<usize>> = Combinations::of(4, 2).collect();
-/// assert_eq!(all.len(), 6);
-/// assert_eq!(all[0], vec![0, 1]);
-/// assert_eq!(all[5], vec![2, 3]);
-/// ```
-pub struct Combinations;
-
-impl Combinations {
-    /// Returns a lexicographic iterator over the `k`-subsets of `0..n`.
-    pub fn of(n: usize, k: usize) -> CombinationIter {
-        CombinationIter::new(n, k)
-    }
-
-    /// Total number of `k`-subsets of `0..n`.
-    pub fn count(n: usize, k: usize) -> u128 {
-        binomial(n as u64, k as u64)
-    }
-}
-
 /// Lexicographic rank of a sorted combination of `0..n`.
 ///
 /// Inverse of [`unrank`]. `combo` must be strictly increasing with all
@@ -263,7 +240,7 @@ mod tests {
 
     #[test]
     fn enumeration_is_complete_and_lexicographic() {
-        let combos: Vec<Vec<usize>> = Combinations::of(6, 3).collect();
+        let combos: Vec<Vec<usize>> = CombinationIter::new(6, 3).collect();
         assert_eq!(combos.len() as u128, binomial(6, 3));
         for w in combos.windows(2) {
             assert!(w[0] < w[1], "not lexicographic: {:?} !< {:?}", w[0], w[1]);
@@ -277,16 +254,16 @@ mod tests {
 
     #[test]
     fn edge_cases() {
-        assert_eq!(Combinations::of(5, 0).count(), 1, "one empty combination");
-        assert_eq!(Combinations::of(5, 5).count(), 1);
-        assert_eq!(Combinations::of(3, 4).count(), 0);
-        assert_eq!(Combinations::of(0, 0).count(), 1);
+        assert_eq!(CombinationIter::new(5, 0).count(), 1, "one empty combination");
+        assert_eq!(CombinationIter::new(5, 5).count(), 1);
+        assert_eq!(CombinationIter::new(3, 4).count(), 0);
+        assert_eq!(CombinationIter::new(0, 0).count(), 1);
     }
 
     #[test]
     fn rank_unrank_roundtrip() {
         let (n, k) = (10, 4);
-        for (i, combo) in Combinations::of(n, k).enumerate() {
+        for (i, combo) in CombinationIter::new(n, k).enumerate() {
             assert_eq!(rank(n, &combo), i as u128);
             assert_eq!(unrank(n, k, i as u128), combo);
         }
@@ -295,7 +272,7 @@ mod tests {
     #[test]
     fn from_rank_resumes_mid_sequence() {
         let (n, k) = (8, 3);
-        let all: Vec<Vec<usize>> = Combinations::of(n, k).collect();
+        let all: Vec<Vec<usize>> = CombinationIter::new(n, k).collect();
         let mut it = CombinationIter::from_rank(n, k, 20);
         for expected in &all[20..] {
             assert_eq!(it.next_slice().unwrap(), expected.as_slice());
@@ -322,7 +299,7 @@ mod tests {
             expect_start += l;
         }
         // Chunked enumeration visits exactly the same sequence.
-        let all: Vec<Vec<usize>> = Combinations::of(n, k).collect();
+        let all: Vec<Vec<usize>> = CombinationIter::new(n, k).collect();
         let mut recon = Vec::new();
         for (s, l) in ranges {
             let mut it = CombinationIter::from_rank(n, k, s);

@@ -1,15 +1,9 @@
 //! Bit-set primitives for erasure-pattern simulation.
 //!
 //! The fault-tolerance testing system in this workspace decodes hundreds of
-//! millions of erasure patterns over 96-node graphs. Each pattern is a set of
-//! node indices; this crate provides the set representations used on that hot
-//! path:
+//! millions of erasure patterns over 96-node graphs. This crate provides the
+//! state and enumeration primitives used on that hot path:
 //!
-//! * [`FixedBitSet`] — a const-generic, stack-allocated bit set backed by
-//!   `u64` words. [`Bits128`] (two words) covers the paper's 96-node graphs
-//!   and [`Bits256`] (four words) covers the 192-device federated systems.
-//! * [`DynBitSet`] — a heap-backed bit set for arbitrary sizes, used by the
-//!   storage layer and anywhere graph sizes are not known at compile time.
 //! * [`EpochSet`] / [`StampedCounts`] — generation-stamped membership and
 //!   counter arrays whose `clear` is a single epoch bump instead of an O(n)
 //!   refill. They are the state representation behind the sparse-reset decode
@@ -19,18 +13,13 @@
 //!   exhaustive `C(96, k)` search into independent, evenly sized chunks for
 //!   data-parallel execution.
 //!
-//! All types are `Copy`/cheaply clonable where possible and perform no
-//! allocation in their query operations.
+//! Query operations perform no allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod combinations;
-pub mod dynamic;
 pub mod epoch;
-pub mod fixed;
 
-pub use combinations::{CombinationIter, Combinations};
-pub use dynamic::DynBitSet;
+pub use combinations::CombinationIter;
 pub use epoch::{EpochSet, StampedCounts};
-pub use fixed::{Bits128, Bits256, Bits64, FixedBitSet};

@@ -1,58 +1,11 @@
-//! Property-based tests for the bit-set algebra and the combinadic
-//! rank/unrank bijection.
+//! Property-based tests for the combinadic rank/unrank bijection and
+//! chunked enumeration.
 
 use proptest::prelude::*;
 use tornado_bitset::combinations::{binomial, chunk_ranges, rank, unrank};
-use tornado_bitset::{Bits128, CombinationIter, DynBitSet};
-
-fn arb_members() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(0usize..128, 0..40)
-}
+use tornado_bitset::CombinationIter;
 
 proptest! {
-    #[test]
-    fn fixed_set_reflects_membership(members in arb_members()) {
-        let s = Bits128::from_indices(members.iter().copied());
-        let mut expect: Vec<usize> = members.clone();
-        expect.sort_unstable();
-        expect.dedup();
-        prop_assert_eq!(s.to_vec(), expect.clone());
-        prop_assert_eq!(s.len(), expect.len());
-        for &m in &expect {
-            prop_assert!(s.contains(m));
-        }
-    }
-
-    #[test]
-    fn demorgan_laws_hold(a in arb_members(), b in arb_members()) {
-        let sa = Bits128::from_indices(a.iter().copied());
-        let sb = Bits128::from_indices(b.iter().copied());
-        prop_assert_eq!(!(sa | sb), !sa & !sb);
-        prop_assert_eq!(!(sa & sb), !sa | !sb);
-    }
-
-    #[test]
-    fn difference_and_symmetric_difference(a in arb_members(), b in arb_members()) {
-        let sa = Bits128::from_indices(a.iter().copied());
-        let sb = Bits128::from_indices(b.iter().copied());
-        prop_assert_eq!(sa - sb, sa & !sb);
-        prop_assert_eq!(sa ^ sb, (sa - sb) | (sb - sa));
-        prop_assert!((sa - sb).is_disjoint(&sb));
-        prop_assert!((sa & sb).is_subset(&sa));
-    }
-
-    #[test]
-    fn dynamic_matches_fixed(a in arb_members(), b in arb_members()) {
-        let sa = Bits128::from_indices(a.iter().copied());
-        let sb = Bits128::from_indices(b.iter().copied());
-        let mut da = DynBitSet::from_indices(128, a.iter().copied());
-        let db = DynBitSet::from_indices(128, b.iter().copied());
-        prop_assert_eq!(da.intersection_len(&db), sa.intersection_len(&sb));
-        prop_assert_eq!(da.is_subset(&db), sa.is_subset(&sb));
-        da.union_with(&db);
-        prop_assert_eq!(da.to_vec(), (sa | sb).to_vec());
-    }
-
     #[test]
     fn rank_unrank_bijection(n in 1usize..26, seed in any::<u64>()) {
         let k = (seed as usize % n).clamp(1, 6.min(n));

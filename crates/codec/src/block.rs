@@ -1,11 +1,10 @@
 //! The real data path: byte blocks in, byte blocks out.
 
-use crate::erasure::{ErasureDecoder, RecoveryStep};
+use crate::erasure::{recovery_depth, ErasureDecoder, RecoveryStep};
 use crate::error::CodecError;
 use crate::kernels::xor_into;
 use crate::metrics::DecodeMetrics;
 use crate::pool;
-use rayon::prelude::*;
 use tornado_graph::{Graph, NodeId};
 
 /// Outcome of a block decode.
@@ -90,22 +89,6 @@ impl<'g> Codec<'g> {
         Ok(blocks)
     }
 
-    /// Encodes many stripes, fanning the per-stripe work out across worker
-    /// threads (each with its own [`pool::BlockPool`]). Output order matches
-    /// input order and every stripe's bytes are identical to a serial
-    /// [`Codec::encode_owned`] — parallelism never changes the coding.
-    pub fn encode_stripes(
-        &self,
-        stripes: Vec<Vec<Vec<u8>>>,
-    ) -> Result<Vec<Vec<Vec<u8>>>, CodecError> {
-        stripes
-            .into_par_iter()
-            .map(|stripe| self.encode_owned(stripe))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect()
-    }
-
     /// Decodes a stripe in place: `stored[i]` is `Some(block)` if node `i`'s
     /// block is available, `None` if erased. Recoverable blocks (data *and*
     /// check) are filled in; the report lists what was recovered and what
@@ -164,84 +147,34 @@ impl<'g> Codec<'g> {
             m.absorb(&dec.take_cells());
         }
 
-        let mut recovered = Vec::with_capacity(detail.schedule.len());
-        // Depth of each node's value in the recovery dependency chain:
-        // blocks that survived sit at depth 0, each recovered block is one
-        // deeper than its deepest input.
-        let mut depth = vec![0u64; n];
-        let mut recovery_depth = 0u64;
-        for step in &detail.schedule {
-            match *step {
-                RecoveryStep::Peel { node, via } => {
-                    // node = via ⊕ (other left neighbours of via)
-                    let via_block = stored[via as usize]
-                        .as_deref()
-                        .expect("schedule guarantees via is present");
-                    let mut acc = pool::with_thread_pool(|p| p.take_copy(via_block));
-                    let mut d = depth[via as usize];
-                    for &nbr in self.graph.check_neighbors(via) {
-                        if nbr != node {
-                            let b = stored[nbr as usize]
-                                .as_ref()
-                                .expect("schedule guarantees the other neighbours are present");
-                            xor_into(&mut acc, b);
-                            d = d.max(depth[nbr as usize]);
-                        }
-                    }
-                    stored[node as usize] = Some(acc);
-                    depth[node as usize] = d + 1;
-                    recovery_depth = recovery_depth.max(d + 1);
-                    recovered.push(node);
-                }
-                RecoveryStep::Reencode { node } => {
-                    let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-                    let mut d = 0u64;
-                    for &nbr in self.graph.check_neighbors(node) {
-                        let b = stored[nbr as usize]
-                            .as_ref()
-                            .expect("schedule guarantees the neighbours are present");
-                        xor_into(&mut acc, b);
-                        d = d.max(depth[nbr as usize]);
-                    }
-                    stored[node as usize] = Some(acc);
-                    depth[node as usize] = d + 1;
-                    recovery_depth = recovery_depth.max(d + 1);
-                    recovered.push(node);
-                }
-            }
-        }
+        self.apply(&detail.schedule, stored);
         Ok(DecodeReport {
             lost_data: detail.lost_data,
-            recovered,
-            recovery_depth,
+            recovered: detail.schedule.iter().map(RecoveryStep::node).collect(),
+            recovery_depth: recovery_depth(self.graph, &detail.schedule),
         })
     }
 
-    /// Verifies that every check block equals the XOR of its left
-    /// neighbours; returns the ids of inconsistent check nodes. Used by the
-    /// store's scrubber to detect silent corruption.
-    pub fn verify(&self, blocks: &[Vec<u8>]) -> Result<Vec<NodeId>, CodecError> {
-        let n = self.graph.num_nodes();
-        if blocks.len() != n {
-            return Err(CodecError::WrongStripeWidth {
-                got: blocks.len(),
-                expected: n,
-            });
+    /// Replays `schedule` with real XOR over `stored`, filling in each
+    /// step's node. Every step's inputs must be present when it runs, as
+    /// they are for a schedule from [`ErasureDecoder::decode_detailed`] on
+    /// the same stripe or a [`crate::derivation`] of one. Accumulators come
+    /// from the calling thread's [`pool::BlockPool`].
+    pub fn apply(&self, schedule: &[RecoveryStep], stored: &mut [Option<Vec<u8>>]) {
+        fn present(stored: &[Option<Vec<u8>>], n: NodeId) -> &[u8] {
+            stored[n as usize]
+                .as_deref()
+                .expect("a schedule step reads only present blocks")
         }
-        let block_len = blocks.first().map(|b| b.len()).unwrap_or(0);
-        let mut bad = Vec::new();
-        let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-        for check in self.graph.check_ids() {
-            acc.fill(0);
-            for &nbr in self.graph.check_neighbors(check) {
-                xor_into(&mut acc, &blocks[nbr as usize]);
+        for step in schedule {
+            let mut inputs = step.inputs(self.graph);
+            let first = inputs.next().expect("every step reads at least one block");
+            let mut acc = pool::with_thread_pool(|p| p.take_copy(present(stored, first)));
+            for n in inputs {
+                xor_into(&mut acc, present(stored, n));
             }
-            if acc[..] != blocks[check as usize][..] {
-                bad.push(check);
-            }
+            stored[step.node() as usize] = Some(acc);
         }
-        pool::with_thread_pool(|p| p.recycle(acc));
-        Ok(bad)
     }
 }
 
@@ -318,23 +251,34 @@ impl EncodedStripe {
         codec: &Codec<'_>,
         stored: &mut [Option<Vec<u8>>],
     ) -> Result<Option<Vec<u8>>, CodecError> {
-        let report = codec.decode(stored)?;
-        if !report.complete() {
-            return Ok(None);
+        codec.decode(stored)?;
+        Ok(Self::read_payload(&stored[..codec.graph().num_data()]))
+    }
+
+    /// Reads the payload out of a stripe's data blocks (`data[i]` is data
+    /// node `i`), copying it once, straight from the blocks. Returns `None`
+    /// when a data block is missing, or when the length header is cut short
+    /// or claims more bytes than the data blocks hold.
+    pub fn read_payload(data: &[Option<Vec<u8>>]) -> Option<Vec<u8>> {
+        let blocks: Vec<&[u8]> = data.iter().map(|b| b.as_deref()).collect::<Option<_>>()?;
+        let mut bytes = blocks.iter().flat_map(|b| b.iter());
+        let mut header = [0u8; LEN_HEADER];
+        for h in &mut header {
+            *h = *bytes.next()?;
         }
-        let k = codec.graph().num_data();
-        let mut framed = Vec::new();
-        for block in stored.iter().take(k) {
-            framed.extend_from_slice(block.as_ref().expect("decode reported complete"));
+        let len = usize::try_from(u64::from_le_bytes(header)).ok()?;
+        if len > blocks.iter().map(|b| b.len()).sum::<usize>() - LEN_HEADER {
+            return None;
         }
-        if framed.len() < LEN_HEADER {
-            return Ok(None);
+        let mut payload = Vec::with_capacity(len);
+        let mut skip = LEN_HEADER;
+        for block in blocks {
+            let from = skip.min(block.len());
+            skip -= from;
+            let take = (len - payload.len()).min(block.len() - from);
+            payload.extend_from_slice(&block[from..from + take]);
         }
-        let len = u64::from_le_bytes(framed[..LEN_HEADER].try_into().expect("8 bytes")) as usize;
-        if LEN_HEADER + len > framed.len() {
-            return Ok(None);
-        }
-        Ok(Some(framed[LEN_HEADER..LEN_HEADER + len].to_vec()))
+        Some(payload)
     }
 }
 
@@ -369,7 +313,6 @@ mod tests {
             assert_eq!(blocks[5][i], data[2][i] ^ data[3][i]);
             assert_eq!(blocks[6][i], blocks[4][i] ^ blocks[5][i]);
         }
-        assert!(c.verify(&blocks).unwrap().is_empty());
     }
 
     #[test]
@@ -401,6 +344,7 @@ mod tests {
         let report = c.decode(&mut stored).unwrap();
         assert!(report.complete());
         assert_eq!(report.recovered, vec![4, 0]);
+        assert_eq!(report.recovery_depth, 2, "4 is rebuilt first, then peels 0");
         assert_eq!(stored[0].as_deref().unwrap(), &data[0][..]);
         assert_eq!(stored[4].as_deref().unwrap(), &blocks[4][..]);
     }
@@ -438,18 +382,6 @@ mod tests {
             c.decode(&mut uneven),
             Err(CodecError::UnequalBlockLengths { index: 3, .. })
         ));
-    }
-
-    #[test]
-    fn verify_flags_corruption() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let mut blocks = c.encode(&sample_data(8)).unwrap();
-        blocks[5][0] ^= 0xff;
-        let bad = c.verify(&blocks).unwrap();
-        // Check 5 is wrong, and check 6 (which XORs 4 and 5 — computed from
-        // the *stored* 5) no longer matches either.
-        assert_eq!(bad, vec![5, 6]);
     }
 
     #[test]
@@ -496,6 +428,25 @@ mod tests {
     }
 
     #[test]
+    fn payload_reader_checks_the_header_against_the_blocks() {
+        // 16 framed bytes in four 4-byte data blocks; the header spans two.
+        let claim = |len: u64| -> Vec<Option<Vec<u8>>> {
+            let mut framed = [7u8; 16];
+            framed[..LEN_HEADER].copy_from_slice(&len.to_le_bytes());
+            framed.chunks(4).map(|c| Some(c.to_vec())).collect()
+        };
+        assert_eq!(EncodedStripe::read_payload(&claim(8)), Some(vec![7; 8]));
+        assert_eq!(EncodedStripe::read_payload(&claim(3)), Some(vec![7; 3]));
+        assert_eq!(EncodedStripe::read_payload(&claim(9)), None, "one byte past the blocks");
+        assert_eq!(EncodedStripe::read_payload(&claim(u64::MAX)), None);
+        let mut gap = claim(0);
+        gap[3] = None;
+        assert_eq!(EncodedStripe::read_payload(&gap), None, "missing data block");
+        let cut = vec![Some(vec![0u8; 3]), Some(vec![0u8; 4])];
+        assert_eq!(EncodedStripe::read_payload(&cut), None, "header cut short");
+    }
+
+    #[test]
     fn encode_owned_matches_encode() {
         let g = cascade();
         let c = Codec::new(&g);
@@ -503,26 +454,6 @@ mod tests {
         let by_ref = c.encode(&data).unwrap();
         let by_move = c.encode_owned(data).unwrap();
         assert_eq!(by_ref, by_move);
-    }
-
-    #[test]
-    fn encode_stripes_is_bit_identical_to_serial() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let stripes: Vec<Vec<Vec<u8>>> = (0..9u8)
-            .map(|s| (0..4u8).map(|i| vec![s.wrapping_mul(31) ^ i; 24]).collect())
-            .collect();
-        let serial: Vec<_> = stripes.iter().map(|st| c.encode(st).unwrap()).collect();
-        let parallel = c.encode_stripes(stripes).unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn encode_stripes_surfaces_shape_errors() {
-        let g = cascade();
-        let c = Codec::new(&g);
-        let stripes = vec![sample_data(8), sample_data(8)[..3].to_vec()];
-        assert!(c.encode_stripes(stripes).is_err());
     }
 
     #[test]

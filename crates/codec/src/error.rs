@@ -30,6 +30,9 @@ pub enum CodecError {
     },
     /// No block is present at all — nothing to infer lengths from.
     EmptyStripe,
+    /// A stripe's length header claims more payload than its data blocks
+    /// hold (or the blocks are too short to carry the header).
+    BadLengthHeader,
 }
 
 impl fmt::Display for CodecError {
@@ -46,6 +49,9 @@ impl fmt::Display for CodecError {
                 write!(f, "stripe has {got} slots, graph needs {expected}")
             }
             CodecError::EmptyStripe => write!(f, "stripe contains no blocks at all"),
+            CodecError::BadLengthHeader => {
+                write!(f, "stripe length header does not fit its data blocks")
+            }
         }
     }
 }

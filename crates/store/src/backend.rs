@@ -97,7 +97,10 @@ impl MemoryBackend {
 }
 
 impl BlockBackend for MemoryBackend {
-    fn put(&mut self, key: BlockKey, data: Vec<u8>) -> io::Result<()> {
+    fn put(&mut self, key: BlockKey, mut data: Vec<u8>) -> io::Result<()> {
+        // A block from a pooled buffer may sit in a much larger allocation;
+        // keep only what it needs for as long as it is resident.
+        data.shrink_to_fit();
         self.blocks.insert(key, data);
         Ok(())
     }
@@ -199,6 +202,15 @@ pub(crate) mod tests {
     /// Reads a block through the one pooled read, as the device layer does.
     pub(crate) fn read(b: &mut dyn BlockBackend, key: &BlockKey) -> Option<Vec<u8>> {
         b.get(key, &mut BlockPool::default()).unwrap()
+    }
+
+    #[test]
+    fn memory_backend_keeps_no_spare_capacity() {
+        let mut b = MemoryBackend::new();
+        let mut block = Vec::with_capacity(64 * 1024);
+        block.extend_from_slice(&[5u8; 10]);
+        b.put((1, 0), block).unwrap();
+        assert_eq!(b.blocks[&(1, 0)].capacity(), 10);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::device::ReadClass;
 use crate::error::StoreError;
 use crate::store::{ArchivalStore, ObjectId, ObjectMeta};
-use tornado_codec::Codec;
+use tornado_codec::{Codec, CodecError, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 use tornado_sim::multi::FederatedSystem;
 
@@ -126,7 +126,6 @@ impl FederatedStore {
             .meta(id)
             .ok_or(StoreError::UnknownObject { id })?;
         let fed_graph = self.federation.graph();
-        let k = self.federation.num_data();
         let n_a = self.site_a.graph().num_nodes();
 
         // Assemble the federated stripe: site A nodes verbatim, then site
@@ -151,12 +150,9 @@ impl FederatedStore {
             });
         }
         // Reassemble from the shared data nodes.
-        let mut framed = Vec::with_capacity(k * meta_a.block_len);
-        for block in stored.iter().take(k) {
-            framed.extend_from_slice(block.as_ref().expect("decode complete"));
-        }
-        let len = u64::from_le_bytes(framed[..8].try_into().expect("length header")) as usize;
-        Ok((framed[8..8 + len].to_vec(), blocks_crossed))
+        let payload = EncodedStripe::read_payload(&stored[..self.federation.num_data()])
+            .ok_or(CodecError::BadLengthHeader)?;
+        Ok((payload, blocks_crossed))
     }
 
     /// Anti-entropy: copies blocks between sites so that each site's stripe
@@ -209,7 +205,7 @@ fn refill_site(
     payload: &[u8],
 ) -> Result<usize, StoreError> {
     let codec = Codec::new(site.graph());
-    let stripe = tornado_codec::EncodedStripe::from_object(&codec, payload)?;
+    let stripe = EncodedStripe::from_object(&codec, payload)?;
     let mut restored = 0usize;
     for (node, block) in stripe.blocks().iter().enumerate() {
         let node = node as NodeId;
@@ -256,28 +252,33 @@ mod tests {
     #[test]
     fn cross_site_exchange_saves_the_day() {
         // Fail block 0's pair at site A and block *1*'s pair at site B:
-        // neither site alone reconstructs, together they do.
-        let fed = two_mirror_sites();
-        let id = fed.put("x", b"only together").unwrap();
-        fed.site_a().fail_device(0).unwrap();
-        fed.site_a().fail_device(4).unwrap();
-        fed.site_b().fail_device(1).unwrap();
-        fed.site_b().fail_device(5).unwrap();
-        assert!(matches!(
-            fed.site_a().get(id),
-            Err(StoreError::Unrecoverable { .. })
-        ));
-        assert!(matches!(
-            fed.site_b().get(id),
-            Err(StoreError::Unrecoverable { .. })
-        ));
-        let (payload, path) = fed.get(id).unwrap();
-        assert_eq!(payload, b"only together");
-        match path {
-            FetchPath::CrossSite { blocks_crossed } => {
-                assert_eq!(blocks_crossed, 6, "site B's six surviving blocks crossed");
+        // neither site alone reconstructs, together they do. Below 24 bytes
+        // of payload the 8-byte length header spans several of the four
+        // data blocks.
+        for len in [0usize, 1, 7, 8, 23, 24, 25, 1000] {
+            let sent: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let fed = two_mirror_sites();
+            let id = fed.put("x", &sent).unwrap();
+            fed.site_a().fail_device(0).unwrap();
+            fed.site_a().fail_device(4).unwrap();
+            fed.site_b().fail_device(1).unwrap();
+            fed.site_b().fail_device(5).unwrap();
+            assert!(matches!(
+                fed.site_a().get(id),
+                Err(StoreError::Unrecoverable { .. })
+            ));
+            assert!(matches!(
+                fed.site_b().get(id),
+                Err(StoreError::Unrecoverable { .. })
+            ));
+            let (payload, path) = fed.get(id).unwrap();
+            assert_eq!(payload, sent, "{len}-byte payload");
+            match path {
+                FetchPath::CrossSite { blocks_crossed } => {
+                    assert_eq!(blocks_crossed, 6, "site B's six surviving blocks crossed");
+                }
+                other => panic!("expected CrossSite, got {other:?}"),
             }
-            other => panic!("expected CrossSite, got {other:?}"),
         }
     }
 

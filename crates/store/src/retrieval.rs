@@ -13,7 +13,7 @@
 //! with XOR is guaranteed to reproduce the full data.
 
 use std::collections::BTreeSet;
-use tornado_codec::{ErasureDecoder, RecoveryStep};
+use tornado_codec::{derivation, recovery_depth, ErasureDecoder, RecoveryStep};
 use tornado_graph::{Graph, NodeId};
 
 /// What one recovery cost: the currency repair-bandwidth papers (Park et
@@ -70,39 +70,6 @@ impl RetrievalPlan {
         self.fetch.len()
     }
 
-    /// Longest dependency chain in the pruned schedule. Fetched blocks sit
-    /// at depth 0; each step's output is one deeper than its deepest input,
-    /// so a plan with no regeneration reports 0 and a single direct peel
-    /// reports 1.
-    pub fn recovery_depth(&self, graph: &Graph) -> u64 {
-        let mut depth = vec![0u64; graph.num_nodes()];
-        let mut max = 0u64;
-        for step in &self.schedule {
-            let d = match *step {
-                RecoveryStep::Peel { node, via } => {
-                    let mut d = depth[via as usize];
-                    for &nbr in graph.check_neighbors(via) {
-                        if nbr != node {
-                            d = d.max(depth[nbr as usize]);
-                        }
-                    }
-                    depth[node as usize] = d + 1;
-                    d + 1
-                }
-                RecoveryStep::Reencode { node } => {
-                    let mut d = 0;
-                    for &nbr in graph.check_neighbors(node) {
-                        d = d.max(depth[nbr as usize]);
-                    }
-                    depth[node as usize] = d + 1;
-                    d + 1
-                }
-            };
-            max = max.max(d);
-        }
-        max
-    }
-
     /// The cost of executing this plan with `block_len`-byte blocks, with
     /// `device_of` mapping each fetched node to the device that holds it
     /// (distinct devices are counted once).
@@ -117,7 +84,7 @@ impl RetrievalPlan {
             bytes_read: self.fetch.len() as u64 * block_len as u64,
             blocks_fetched: self.fetch.len() as u64,
             devices_contacted: devices.len() as u64,
-            recovery_depth: self.recovery_depth(graph),
+            recovery_depth: recovery_depth(graph, &self.schedule),
         }
     }
 
@@ -142,11 +109,13 @@ pub fn plan_retrieval(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPl
     plan_for(graph, available, |g, _| g.data_ids().collect())
 }
 
-/// Plans the regeneration of every *missing* block — the scrubber's and
-/// federation's job, as opposed to [`plan_retrieval`]'s "reassemble the
-/// data". The fetch set is the guided repair cone: the blocks a
-/// bandwidth-aware repair would read to rebuild everything that was lost.
-/// Returns `None` when the stripe is unrecoverable.
+/// Plans the regeneration of every *missing* block, as opposed to
+/// [`plan_retrieval`]'s "reassemble the data". The fetch set is the guided
+/// repair cone: the blocks a bandwidth-aware repair would read to rebuild
+/// everything that was lost. The repair bake-off prices codes with it; the
+/// store's own repairs do not use it (scrub reads the whole stripe, and
+/// federation re-encodes from the payload). Returns `None` when the stripe
+/// is unrecoverable.
 pub fn plan_repair(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan> {
     plan_for(graph, available, |g, avail| {
         (0..g.num_nodes() as NodeId)
@@ -155,9 +124,9 @@ pub fn plan_repair(graph: &Graph, available: &[NodeId]) -> Option<RetrievalPlan>
     })
 }
 
-/// Shared backward-walk planner: runs the availability-only peeling
-/// decoder, then keeps only the schedule steps the `seed` nodes
-/// transitively depend on.
+/// Shared planner: runs the availability-only peeling decoder, then keeps
+/// only the schedule steps the `seed` nodes transitively depend on (the
+/// codec's [`derivation`]); what those steps read is the fetch set.
 fn plan_for(
     graph: &Graph,
     available: &[NodeId],
@@ -174,55 +143,13 @@ fn plan_for(
     if !detail.success {
         return None;
     }
-
-    let mut needed: BTreeSet<NodeId> = seed(graph, &avail_set);
-
-    // Walk the schedule backwards: a step is kept iff it produces a needed
-    // node; its inputs become needed in turn.
-    let mut kept: Vec<RecoveryStep> = Vec::new();
-    for step in detail.schedule.iter().rev() {
-        match *step {
-            RecoveryStep::Peel { node, via } => {
-                if needed.contains(&node) {
-                    kept.push(*step);
-                    needed.insert(via);
-                    for &nbr in graph.check_neighbors(via) {
-                        if nbr != node {
-                            needed.insert(nbr);
-                        }
-                    }
-                }
-            }
-            RecoveryStep::Reencode { node } => {
-                if needed.contains(&node) {
-                    kept.push(*step);
-                    for &nbr in graph.check_neighbors(node) {
-                        needed.insert(nbr);
-                    }
-                }
-            }
-        }
-    }
-    kept.reverse();
-
-    // Fetch = needed nodes that are genuinely on devices (available), minus
-    // the ones the schedule regenerates.
-    let produced: BTreeSet<NodeId> = kept
-        .iter()
-        .map(|s| match *s {
-            RecoveryStep::Peel { node, .. } => node,
-            RecoveryStep::Reencode { node } => node,
-        })
-        .collect();
-    let fetch: Vec<NodeId> = needed
-        .iter()
-        .copied()
-        .filter(|n| avail_set.contains(n) && !produced.contains(n))
-        .collect();
-
+    // A successful decode runs to full fixpoint, so every needed node is
+    // either available or produced by a kept step: the reads are all on
+    // devices.
+    let d = derivation(graph, &detail.schedule, seed(graph, &avail_set));
     Some(RetrievalPlan {
-        fetch,
-        schedule: kept,
+        fetch: d.reads,
+        schedule: d.steps,
     })
 }
 
@@ -319,15 +246,15 @@ mod tests {
     fn recovery_depth_counts_dependency_chains() {
         let g = cascade();
         let healthy = plan_retrieval(&g, &all_except(&g, &[])).unwrap();
-        assert_eq!(healthy.recovery_depth(&g), 0, "nothing regenerated");
+        assert_eq!(recovery_depth(&g, &healthy.schedule), 0, "nothing regenerated");
 
         let shallow = plan_retrieval(&g, &all_except(&g, &[0])).unwrap();
-        assert_eq!(shallow.recovery_depth(&g), 1, "one direct peel");
+        assert_eq!(recovery_depth(&g, &shallow.schedule), 1, "one direct peel");
 
         // Data 0 and check 4 missing: 4 is rebuilt first (depth 1), then
         // peels 0 (depth 2).
         let deep = plan_retrieval(&g, &all_except(&g, &[0, 4])).unwrap();
-        assert_eq!(deep.recovery_depth(&g), 2);
+        assert_eq!(recovery_depth(&g, &deep.schedule), 2);
     }
 
     #[test]
@@ -359,7 +286,7 @@ mod tests {
         let plan = plan_repair(&g, &all_except(&g, &[6])).unwrap();
         assert_eq!(plan.fetch, vec![4, 5]);
         assert_eq!(plan.schedule.len(), 1);
-        assert_eq!(plan.recovery_depth(&g), 1);
+        assert_eq!(recovery_depth(&g, &plan.schedule), 1);
 
         // Data 0 missing: the repair cone is just sibling 1 and check 4 —
         // smaller than the full-retrieval plan's fetch of all the data.

@@ -10,7 +10,7 @@ use std::sync::RwLock;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tornado_codec::{pool, xor_into, Codec, EncodedStripe, RecoveryStep};
+use tornado_codec::{pool, recovery_depth, Codec, CodecError, EncodedStripe};
 use tornado_graph::{Graph, NodeId};
 
 /// Opaque object identifier.
@@ -389,7 +389,7 @@ impl ArchivalStore {
         let mut devices_contacted: BTreeSet<usize> = BTreeSet::new();
         let n = self.graph.num_nodes();
         let k = self.graph.num_data();
-        let (blocks, stats) = 'plan: loop {
+        let (mut blocks, plan) = 'plan: loop {
             let plan_start = std::time::Instant::now();
             let available: Vec<NodeId> = self
                 .available_nodes(&meta)
@@ -446,46 +446,32 @@ impl ArchivalStore {
                 }
             }
             fetch_us += fetch_start.elapsed().as_micros() as u64;
-            let decode_start = std::time::Instant::now();
-            let decoded = apply_schedule(&self.graph, blocks, &plan, meta.block_len);
-            let stats = GetStats {
-                blocks_fetched: plan.fetch.len(),
-                blocks_recovered: plan.schedule.len(),
-                replans,
-                plan_us,
-                fetch_us,
-                decode_us: decode_start.elapsed().as_micros() as u64,
-                cost: RepairCost {
-                    bytes_read,
-                    blocks_fetched: blocks_read,
-                    devices_contacted: devices_contacted.len() as u64,
-                    recovery_depth: plan.recovery_depth(&self.graph),
-                },
-                repair_bytes_read: repair_bytes,
-            };
-            break (decoded, stats);
+            break (blocks, plan);
         };
 
-        // Reassemble the framed payload from the data blocks, then hand
-        // every scratch buffer back to the pool.
-        let reassemble_start = std::time::Instant::now();
-        let mut blocks = blocks;
-        let k = self.graph.num_data();
-        let mut framed = pool::with_thread_pool(|p| p.take_zeroed(0));
-        framed.reserve(k * meta.block_len);
-        for block in blocks.iter().take(k) {
-            framed.extend_from_slice(block.as_ref().expect("all data planned or recovered"));
-        }
-        let len = u64::from_le_bytes(framed[..8].try_into().expect("length header")) as usize;
-        debug_assert_eq!(len, meta.size);
-        let payload = framed[8..8 + len].to_vec();
-        pool::with_thread_pool(|p| {
-            p.recycle(framed);
-            p.recycle_stripe(&mut blocks);
-        });
-        let mut stats = stats;
-        stats.decode_us += reassemble_start.elapsed().as_micros() as u64;
-        Ok((payload, stats))
+        // Replay the pruned schedule, reassemble the payload from the data
+        // blocks, then hand every scratch buffer back to the pool.
+        let decode_start = std::time::Instant::now();
+        Codec::new(&self.graph).apply(&plan.schedule, &mut blocks);
+        let payload = EncodedStripe::read_payload(&blocks[..k]);
+        pool::with_thread_pool(|p| p.recycle_stripe(&mut blocks));
+        let decode_us = decode_start.elapsed().as_micros() as u64;
+        let stats = GetStats {
+            blocks_fetched: plan.fetch.len(),
+            blocks_recovered: plan.schedule.len(),
+            replans,
+            plan_us,
+            fetch_us,
+            decode_us,
+            cost: RepairCost {
+                bytes_read,
+                blocks_fetched: blocks_read,
+                devices_contacted: devices_contacted.len() as u64,
+                recovery_depth: recovery_depth(&self.graph, &plan.schedule),
+            },
+            repair_bytes_read: repair_bytes,
+        };
+        Ok((payload.ok_or(CodecError::BadLengthHeader)?, stats))
     }
 
     /// Deletes an object from all devices. On a durable store the delete
@@ -565,41 +551,6 @@ impl ArchivalStore {
         let dev = self.device_of_block(meta, node);
         self.devices[dev].verify_block(&(meta.id, node), meta.checksums[node as usize])
     }
-}
-
-/// Replays a retrieval plan's pruned recovery schedule with real XOR over
-/// the fetched blocks (the word-wide kernel; accumulators come from the
-/// calling thread's block pool).
-fn apply_schedule(
-    graph: &Graph,
-    mut blocks: Vec<Option<Vec<u8>>>,
-    plan: &crate::retrieval::RetrievalPlan,
-    block_len: usize,
-) -> Vec<Option<Vec<u8>>> {
-    for step in &plan.schedule {
-        match *step {
-            RecoveryStep::Peel { node, via } => {
-                let via_block = blocks[via as usize].as_deref().expect("planned");
-                let mut acc = pool::with_thread_pool(|p| p.take_copy(via_block));
-                for &nbr in graph.check_neighbors(via) {
-                    if nbr != node {
-                        let b = blocks[nbr as usize].as_ref().expect("planned");
-                        xor_into(&mut acc, b);
-                    }
-                }
-                blocks[node as usize] = Some(acc);
-            }
-            RecoveryStep::Reencode { node } => {
-                let mut acc = pool::with_thread_pool(|p| p.take_zeroed(block_len));
-                for &nbr in graph.check_neighbors(node) {
-                    let b = blocks[nbr as usize].as_ref().expect("planned");
-                    xor_into(&mut acc, b);
-                }
-                blocks[node as usize] = Some(acc);
-            }
-        }
-    }
-    blocks
 }
 
 #[cfg(test)]
@@ -836,5 +787,22 @@ mod tests {
         let store = ArchivalStore::new(small_graph());
         let id = store.put("empty", b"").unwrap();
         assert_eq!(store.get(id).unwrap(), b"");
+    }
+
+    #[test]
+    fn a_length_header_past_the_data_blocks_is_an_error() {
+        let store = ArchivalStore::new(small_graph());
+        let id = store.put("x", b"payload").unwrap();
+        let meta = store.meta(id).unwrap();
+        assert_eq!(meta.block_len, 4, "the header spans data blocks 0 and 1");
+        // Rewrite block 0, checksum included, to claim a 1,000-byte payload.
+        let forged = 1000u64.to_le_bytes()[..4].to_vec();
+        store.objects.write().unwrap().get_mut(&id).unwrap().checksums[0] =
+            block_checksum(&forged);
+        assert!(store.write_raw_block(&meta, 0, forged));
+        assert_eq!(
+            store.get(id),
+            Err(StoreError::Codec(CodecError::BadLengthHeader))
+        );
     }
 }
